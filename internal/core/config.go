@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
@@ -135,63 +134,32 @@ type Config struct {
 
 	// Seed drives the spot eviction process.
 	Seed int64
+
+	// Mechanism pins how Run executes the configuration; the zero value
+	// (Auto) selects automatically. Every mechanism produces bit-identical
+	// results, so pinning one is for differential tests and benchmarks. A
+	// pinned configuration is never fingerprinted: it neither reads from
+	// nor writes into a simulation or decision-plan cache, which would
+	// otherwise answer it with a result another mechanism produced.
+	Mechanism Mechanism
 }
 
-// forceRetainJobs globally overrides Config.RetainJobs for differential
-// tests that re-run whole figure suites in retained mode without
-// threading a flag through every experiment.
-var forceRetainJobs atomic.Bool
+// Mechanism selects the execution mechanism of a run.
+type Mechanism uint8
 
-// ForceRetainJobs makes every subsequent Run retain per-job records as if
-// Config.RetainJobs were set (v=false restores the configs' own flags).
-// It exists for the retained-vs-streaming differential tests; production
-// callers should set Config.RetainJobs instead.
-func ForceRetainJobs(v bool) { forceRetainJobs.Store(v) }
-
-// forceHeapEngine globally switches every subsequent Run's event engine
-// to the reference 4-ary heap queue instead of the timing wheel.
-var forceHeapEngine atomic.Bool
-
-// ForceHeapEngine makes every subsequent Run drive its event loop with
-// the heap queue the timing wheel replaced (v=false restores the wheel).
-// Both mechanisms execute bit-identical event sequences; this seam exists
-// for the wheel-vs-heap differential tests and benchmarks, and like
-// ForceRetainJobs it also disables fingerprint-keyed caching so a forced
-// run can never be answered from (or poison) a cache entry produced by
-// the other mechanism.
-func ForceHeapEngine(v bool) { forceHeapEngine.Store(v) }
-
-// forceEventEngine globally disables the direct-execution run path so
-// every subsequent Run drives the full event engine.
-var forceEventEngine atomic.Bool
-
-// ForceEventEngine makes every subsequent Run take the event-engine path
-// even for configurations the direct-execution path could serve (v=false
-// restores automatic selection). Both paths produce bit-identical results;
-// this seam exists for the direct-vs-engine differential tests and
-// benchmarks, and like the other Force* overrides it disables
-// fingerprint-keyed caching so a forced run can never be answered from (or
-// poison) a cache entry produced by the other path.
-func ForceEventEngine(v bool) { forceEventEngine.Store(v) }
-
-// forceElasticDegenerate globally wraps every subsequent non-elastic Run's
-// trace in a degenerate ElasticTrace (flat curve, single replica, no
-// edges), driving it through the elastic-aware engine configuration.
-var forceElasticDegenerate atomic.Bool
-
-// ForceElasticDegenerate makes every subsequent Run without an Elastic
-// trace behave as if Config.Elastic were the degenerate wrapping of its
-// workload (v=false restores the configs' own traces). Degenerate specs
-// engage no elastic machinery, but the configuration leaves the direct
-// path for the event engine — the seam exists for the elastic-vs-rigid
-// differential tests, and like the other Force* overrides it disables
-// fingerprint-keyed caching so a forced run can never be answered from
-// (or poison) a cache entry produced by the rigid path.
-func ForceElasticDegenerate(v bool) { forceElasticDegenerate.Store(v) }
+const (
+	// Auto rides the direct-execution path when the configuration is
+	// eligible (see DirectPathEligible) and the event engine otherwise.
+	Auto Mechanism = iota
+	// Engine always drives the event engine on its timing-wheel queue.
+	Engine
+	// HeapEngine drives the event engine on the reference 4-ary heap
+	// queue the timing wheel replaced.
+	HeapEngine
+)
 
 // DirectPathEligible reports whether Run would serve this configuration
-// via the direct-execution path (ignoring the Force* overrides, which are
-// test seams, not configuration). The rule is deliberately conservative —
+// via the direct-execution path. The rule is deliberately conservative —
 // see directEligible for the reasoning per knob.
 func (c Config) DirectPathEligible() bool {
 	canon := c.withDefaults()
@@ -205,6 +173,7 @@ func (c Config) DirectPathEligible() bool {
 // defaulted config. The path is sound exactly when every job's execution
 // is a pure function of (job, arrival, oracle tables):
 //
+//   - A pinned Mechanism asks for the event engine by name.
 //   - WorkConserving couples decisions to pool occupancy (early starts on
 //     freed reserved units), so starts stop being pure — fall back.
 //   - SpotMaxLen > 0 routes jobs through the eviction process and
@@ -224,7 +193,7 @@ func (c Config) DirectPathEligible() bool {
 // Every other knob (Reserved level, queues, pricing, power, horizon,
 // retention) is replicated exactly by the sweep replay.
 func (c Config) directEligible() bool {
-	if c.WorkConserving || c.SpotMaxLen > 0 {
+	if c.Mechanism != Auto || c.WorkConserving || c.SpotMaxLen > 0 {
 		return false
 	}
 	if c.Elastic != nil {
@@ -305,9 +274,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Elastic != nil && c.Allocator == nil {
 		c.Allocator = policy.StaticAlloc{}
-	}
-	if forceRetainJobs.Load() {
-		c.RetainJobs = true
 	}
 	if c.Label == "" {
 		c.Label = c.deriveLabel()

@@ -9,6 +9,7 @@ import (
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/sim"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -61,6 +62,8 @@ func TestDirectPathEligibility(t *testing.T) {
 			c.Policy = policy.CarbonTime{}
 			c.CIS = carbon.NewNoisyService(tr, 0.1, 1)
 		}, false},
+		{"force-event-engine", func(c *Config) { c.Policy = policy.CarbonTime{}; c.Mechanism = Engine }, false},
+		{"force-heap-engine", func(c *Config) { c.Policy = policy.CarbonTime{}; c.Mechanism = HeapEngine }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,24 +79,6 @@ func TestDirectPathEligibility(t *testing.T) {
 		})
 	}
 
-	t.Run("force-event-engine", func(t *testing.T) {
-		cfg := baseConfig(tr, policy.CarbonTime{})
-		cfg.RetainJobs = false
-		ForceEventEngine(true)
-		defer ForceEventEngine(false)
-		if tookDirectPath(t, cfg, jobs) {
-			t.Error("ForceEventEngine did not disable the direct path")
-		}
-	})
-	t.Run("force-heap-engine", func(t *testing.T) {
-		cfg := baseConfig(tr, policy.CarbonTime{})
-		cfg.RetainJobs = false
-		ForceHeapEngine(true)
-		defer ForceHeapEngine(false)
-		if tookDirectPath(t, cfg, jobs) {
-			t.Error("ForceHeapEngine did not disable the direct path")
-		}
-	})
 	// Elastic metadata disqualifies a config even when it is fully
 	// degenerate: the decide-replay sweep has no resize or precedence
 	// model, so any Elastic pointer must fall back to the event engine.
@@ -120,15 +105,19 @@ func TestDirectPathEligibility(t *testing.T) {
 			t.Error("managed elastic config rode the direct path")
 		}
 	})
-	t.Run("force-elastic-degenerate", func(t *testing.T) {
-		cfg := baseConfig(tr, policy.CarbonTime{})
-		cfg.RetainJobs = false
-		ForceElasticDegenerate(true)
-		defer ForceElasticDegenerate(false)
-		if tookDirectPath(t, cfg, jobs) {
-			t.Error("ForceElasticDegenerate did not disable the direct path")
+}
+
+// TestMechanismSelectsQueue: only HeapEngine moves a run onto the heap
+// queue. Both queues produce identical bytes, so no result comparison
+// could tell a silently ignored HeapEngine apart.
+func TestMechanismSelectsQueue(t *testing.T) {
+	for m, want := range map[Mechanism]sim.QueueKind{
+		Auto: sim.QueueWheel, Engine: sim.QueueWheel, HeapEngine: sim.QueueHeap,
+	} {
+		if got := (Config{Mechanism: m}).newEngine().Queue(); got != want {
+			t.Errorf("mechanism %d: queue %v, want %v", m, got, want)
 		}
-	})
+	}
 }
 
 // runBothPaths executes cfg on the direct path and on the forced event
@@ -143,9 +132,8 @@ func runBothPaths(t *testing.T, cfg Config, jobs *workload.Trace) (direct, engin
 	if directRuns.Load() == before {
 		t.Fatal("config unexpectedly fell back to the event engine")
 	}
-	ForceEventEngine(true)
+	cfg.Mechanism = Engine
 	engine, err = Run(cfg, jobs)
-	ForceEventEngine(false)
 	if err != nil {
 		t.Fatal(err)
 	}

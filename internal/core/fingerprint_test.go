@@ -163,22 +163,14 @@ func TestFingerprintNotCacheable(t *testing.T) {
 		t.Error("nil jobs: expected not fingerprintable")
 	}
 
-	// The global retention override must also force a bypass, or the
-	// retained-vs-streaming differential suites would compare a cache
-	// hit against itself.
-	ForceRetainJobs(true)
-	defer ForceRetainJobs(false)
-	if _, ok := (Config{Policy: policy.CarbonTime{}, Carbon: tr}).Fingerprint(jobs); ok {
-		t.Error("ForceRetainJobs: expected not fingerprintable")
-	}
-	ForceRetainJobs(false)
-
-	// Same for the heap-engine override: a heap-forced differential run
-	// answered from the cache would compare the wheel against itself.
-	ForceHeapEngine(true)
-	defer ForceHeapEngine(false)
-	if _, ok := (Config{Policy: policy.CarbonTime{}, Carbon: tr}).Fingerprint(jobs); ok {
-		t.Error("ForceHeapEngine: expected not fingerprintable")
+	// A pinned mechanism must bypass too: a heap- or engine-pinned
+	// differential run answered from the cache would compare a mechanism
+	// against another instead of against itself.
+	for _, m := range []Mechanism{Engine, HeapEngine} {
+		cfg := Config{Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: m}
+		if _, ok := cfg.Fingerprint(jobs); ok {
+			t.Errorf("mechanism %d: expected not fingerprintable", m)
+		}
 	}
 }
 
@@ -298,17 +290,34 @@ func TestDecisionFingerprintBypass(t *testing.T) {
 		t.Error("retained config should keep its decision fingerprint")
 	}
 
-	// Forced differential runs must not replay cached plans: the seams
-	// exist to exercise a specific mechanism end to end.
-	ForceEventEngine(true)
-	if _, ok := eligible.DecisionFingerprint(jobs); ok {
-		t.Error("ForceEventEngine: expected no decision fingerprint")
+	// Pinned-mechanism runs must not replay cached plans: they exist to
+	// exercise a specific mechanism end to end.
+	for _, m := range []Mechanism{Engine, HeapEngine} {
+		pinned := eligible
+		pinned.Mechanism = m
+		if _, ok := pinned.DecisionFingerprint(jobs); ok {
+			t.Errorf("mechanism %d: expected no decision fingerprint", m)
+		}
 	}
-	ForceEventEngine(false)
-	ForceHeapEngine(true)
-	defer ForceHeapEngine(false)
-	if _, ok := eligible.DecisionFingerprint(jobs); ok {
-		t.Error("ForceHeapEngine: expected no decision fingerprint")
+}
+
+// TestFingerprintGolden pins the simulation hash of two fixed
+// configurations (a rigid direct-eligible one and a spot one whose
+// eviction knobs enter the hash). A change here orphans every on-disk
+// cache entry, and fingerprintLayout must be bumped alongside.
+func TestFingerprintGolden(t *testing.T) {
+	tr, jobs := fpFixture(t)
+	for want, cfg := range map[string]Config{
+		"8e5993f424d3654e93f365b7256488c6243990b5b2303b0f53b3d734e06a11f6": {
+			Policy: policy.LowestWindow{}, Carbon: tr, Reserved: 42},
+		"7be9cda67a6bc4c8ad18b1b6bb77f16841186068558b3fe3638510e046cfcc94": {
+			Policy: policy.WaitAwhile{}, Carbon: tr, Reserved: 7, SpotMaxLen: 2 * simtime.Hour,
+			EvictionRate: 0.05, CheckpointInterval: simtime.Hour, Seed: 3},
+	} {
+		fp := mustFingerprint(t, cfg, jobs)
+		if got := hex.EncodeToString(fp[:]); got != want {
+			t.Errorf("%s fingerprint drifted:\n got %s\nwant %s", cfg.Policy.Name(), got, want)
+		}
 	}
 }
 

@@ -24,21 +24,20 @@ func renderAll(t *testing.T, label string) map[string]string {
 }
 
 // TestFiguresIdenticalWithCache is the correctness bar of the simulation
-// cache: the entire figure suite must render byte-identically with the
-// cache off, cold, warm, and warm from a freshly written disk store. It
+// cache: the entire figure suite must render cold, warm, and warm from a
+// freshly written disk store byte-identically to the cache-off baseline. It
 // also asserts the cache is actually doing something — cross-figure hits
 // on the cold pass, memory hits on the warm pass, disk hits on the
 // disk-warm pass — so a silently disabled cache fails loudly.
 func TestFiguresIdenticalWithCache(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders the full quick-scale figure suite five times")
+		t.Skip("renders the full quick-scale figure suite four times")
 	}
 	prev := ActiveCache()
 	defer SetCache(prev)
 	defer ResetCacheStats()
 
-	SetCache(nil)
-	want := renderAll(t, "cache off")
+	want := baseline(t)
 
 	compare := func(label string, got map[string]string) {
 		t.Helper()
@@ -102,8 +101,6 @@ func TestFiguresIdenticalWithCache(t *testing.T) {
 // byte-identically to uncached runs; a second process over the same disk
 // store replays a disjoint sweep from the persisted plan.
 func TestReservedSweepSharesPlans(t *testing.T) {
-	prev := ActiveCache()
-	defer SetCache(prev)
 	defer ResetCacheStats()
 
 	tr, err := prototypeCarbon()
@@ -118,8 +115,7 @@ func TestReservedSweepSharesPlans(t *testing.T) {
 		cells = append(cells, cell{cfg, jobs})
 	}
 
-	SetCache(nil)
-	want, err := runCells("plan-smoke", cells)
+	want, err := runEnv{}.runCells("plan-smoke", cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +126,8 @@ func TestReservedSweepSharesPlans(t *testing.T) {
 	if err := cold.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	SetCache(cold)
 	ResetCacheStats()
-	got, err := runCells("plan-smoke", cells)
+	got, err := runEnv{cache: cold}.runCells("plan-smoke", cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +149,13 @@ func TestReservedSweepSharesPlans(t *testing.T) {
 	if err := warm.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	SetCache(warm)
 	ResetCacheStats()
 	disjoint := make([]cell, len(cells))
 	for i, c := range cells {
 		c.cfg.Reserved += 25
 		disjoint[i] = c
 	}
-	fresh, err := runCells("plan-smoke", disjoint)
+	fresh, err := runEnv{cache: warm}.runCells("plan-smoke", disjoint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,10 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"github.com/carbonsched/gaia/internal/core"
+	"github.com/carbonsched/gaia/internal/runcache"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 // Experiment is one reproducible figure.
@@ -18,9 +22,27 @@ type Experiment struct {
 	ID string
 	// Title summarizes what the figure shows.
 	Title string
-	// Run executes the experiment at the given scale and returns a
-	// printable result.
-	Run func(scale Scale) (fmt.Stringer, error)
+
+	run func(runEnv) (fmt.Stringer, error)
+}
+
+// Run executes the experiment at the given scale, routing its simulation
+// cells through the active cache, and returns a printable result.
+func (e Experiment) Run(scale Scale) (fmt.Stringer, error) {
+	return e.run(runEnv{scale: scale, cache: ActiveCache()})
+}
+
+// runEnv is what a figure function runs under. Every simulation a figure
+// performs goes through it (runCells or simulate), so a caller can render
+// the whole suite against a chosen cache and with every config adjusted —
+// pinned to one run mechanism, retained, or wrapped elastic — without any
+// process-global switch.
+type runEnv struct {
+	scale Scale
+	// cache serves runCells' cells; nil simulates every cell.
+	cache *runcache.Cache
+	// adjust, when set, rewrites every config just before it runs.
+	adjust func(*core.Config, *workload.Trace)
 }
 
 // Scale selects how much work an experiment does. Quick runs use shorter

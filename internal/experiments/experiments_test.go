@@ -22,7 +22,7 @@ func TestRegistryComplete(t *testing.T) {
 		if e.ID != want[i] {
 			t.Errorf("experiment %d = %q, want %q", i, e.ID, want[i])
 		}
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.run == nil {
 			t.Errorf("%s: incomplete registration", e.ID)
 		}
 	}

@@ -20,26 +20,26 @@ func init() {
 	register(Experiment{
 		ID:    "x01-forecast",
 		Title: "Ablation: Carbon-Time savings under imperfect CI forecasts",
-		Run:   runX01Forecast,
+		run:   runX01Forecast,
 	})
 	register(Experiment{
 		ID:    "x02-estimates",
 		Title: "Ablation: sensitivity of Lowest-Window/Carbon-Time to the Javg estimate",
-		Run:   runX02Estimates,
+		run:   runX02Estimates,
 	})
 	register(Experiment{
 		ID:    "x03-suspend",
 		Title: "Extension: suspend-resume GAIA without exact job lengths (future work §4.1)",
-		Run:   runX03Suspend,
+		run:   runX03Suspend,
 	})
 }
 
 // runX01Forecast checks the paper's perfect-forecast assumption two ways:
 // synthetic multiplicative noise growing with lead time, and a real
 // trained forecaster (forecast.SeasonalNaive) that only sees past data.
-func runX01Forecast(scale Scale) (fmt.Stringer, error) {
+func runX01Forecast(env runEnv) (fmt.Stringer, error) {
 	tr := regionTrace("SA-AU")
-	jobs := yearTrace("alibaba", scale)
+	jobs := yearTrace("alibaba", env.scale)
 	seasonal, err := forecast.NewSeasonalNaive(tr, 28, 0.9)
 	if err != nil {
 		return nil, err
@@ -59,16 +59,16 @@ func runX01Forecast(scale Scale) (fmt.Stringer, error) {
 	}
 	// Cell 0 is the shared NoWait baseline (cacheable across figures);
 	// the noisy/seasonal CIS rows bypass the cache by design.
-	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(scale)}, jobs: jobs}}
+	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(env.scale)}, jobs: jobs}}
 	for _, r := range rows {
 		cells = append(cells, cell{cfg: core.Config{
 			Policy:  policy.CarbonTime{},
 			Carbon:  tr,
 			CIS:     r.cis,
-			Horizon: horizon(scale),
+			Horizon: horizon(env.scale),
 		}, jobs: jobs})
 	}
-	results, err := runCells("x01-forecast", cells)
+	results, err := env.runCells("x01-forecast", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +93,14 @@ func runX01Forecast(scale Scale) (fmt.Stringer, error) {
 // runX02Estimates perturbs the queue-average length estimate Javg that
 // length-oblivious policies plan with, quantifying how coarse the
 // "historical queue average" may be before savings collapse.
-func runX02Estimates(scale Scale) (fmt.Stringer, error) {
+func runX02Estimates(env runEnv) (fmt.Stringer, error) {
 	tr := regionTrace("SA-AU")
-	jobs := yearTrace("alibaba", scale)
+	jobs := yearTrace("alibaba", env.scale)
 	trueShort := jobs.MeanLengthByQueue(workload.QueueShort)
 	trueLong := jobs.MeanLengthByQueue(workload.QueueLong)
 	scales := []float64{0.25, 0.5, 1, 2, 4}
 	// Cell 0 is the shared NoWait baseline; then (LW, CT) per scale.
-	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(scale)}, jobs: jobs}}
+	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(env.scale)}, jobs: jobs}}
 	for _, scaleF := range scales {
 		override := map[workload.Queue]simtime.Duration{
 			workload.QueueShort: simtime.Duration(float64(trueShort) * scaleF),
@@ -110,12 +110,12 @@ func runX02Estimates(scale Scale) (fmt.Stringer, error) {
 			cells = append(cells, cell{cfg: core.Config{
 				Policy:            p,
 				Carbon:            tr,
-				Horizon:           horizon(scale),
+				Horizon:           horizon(env.scale),
 				AvgLengthOverride: override,
 			}, jobs: jobs})
 		}
 	}
-	results, err := runCells("x02-estimates", cells)
+	results, err := env.runCells("x02-estimates", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +136,9 @@ func runX02Estimates(scale Scale) (fmt.Stringer, error) {
 // to GAIA's own (length-oblivious) scheduling. WaitAwhile-Est plans
 // lowest-carbon slots for the queue-average length; the simulator adapts
 // the plan to each job's true length.
-func runX03Suspend(scale Scale) (fmt.Stringer, error) {
+func runX03Suspend(env runEnv) (fmt.Stringer, error) {
 	tr := regionTrace("SA-AU")
-	jobs := yearTrace("alibaba", scale)
+	jobs := yearTrace("alibaba", env.scale)
 	t := NewTable("Extension x03 — suspend-resume without exact lengths (Alibaba, SA-AU)",
 		"policy", "knows J", "suspends", "carbon(norm)", "wait(h)")
 	rows := []struct {
@@ -152,11 +152,11 @@ func runX03Suspend(scale Scale) (fmt.Stringer, error) {
 		{policy.WaitAwhile{}, "exact", "yes"},
 	}
 	// Cell 0 is the shared NoWait baseline, then one cell per row.
-	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(scale)}, jobs: jobs}}
+	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(env.scale)}, jobs: jobs}}
 	for _, r := range rows {
-		cells = append(cells, cell{cfg: core.Config{Policy: r.p, Carbon: tr, Horizon: horizon(scale)}, jobs: jobs})
+		cells = append(cells, cell{cfg: core.Config{Policy: r.p, Carbon: tr, Horizon: horizon(env.scale)}, jobs: jobs})
 	}
-	results, err := runCells("x03-suspend", cells)
+	results, err := env.runCells("x03-suspend", cells)
 	if err != nil {
 		return nil, err
 	}

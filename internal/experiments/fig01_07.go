@@ -16,34 +16,34 @@ func init() {
 	register(Experiment{
 		ID:    "fig01",
 		Title: "Grid carbon intensity for three regions: diurnal and spatial variation",
-		Run:   runFig01,
+		run:   runFig01,
 	})
 	register(Experiment{
 		ID:    "fig02",
 		Title: "The carbon/cost/completion tension of Wait Awhile on the Section-3 workload",
-		Run:   runFig02,
+		run:   runFig02,
 	})
 	register(Experiment{
 		ID:    "fig05",
 		Title: "Job length and CPU demand distributions of the sampled Alibaba-PAI traces",
-		Run:   runFig05,
+		run:   runFig05,
 	})
 	register(Experiment{
 		ID:    "fig06",
 		Title: "Carbon intensity classification across cloud regions",
-		Run:   runFig06,
+		run:   runFig06,
 	})
 	register(Experiment{
 		ID:    "fig07",
 		Title: "Monthly mean carbon intensity, California vs South Australia",
-		Run:   runFig07,
+		run:   runFig07,
 	})
 }
 
 // runFig01 reproduces Figure 1: three days of CI for California, Ontario
 // and the Netherlands, with the paper's headline variation factors
 // (up to 3.37× temporal within a region, ≈9× spatial across regions).
-func runFig01(Scale) (fmt.Stringer, error) {
+func runFig01(runEnv) (fmt.Stringer, error) {
 	regions := []string{"CA-US", "ON-CA", "NL"}
 	t := NewTable("Figure 1 — three-day carbon intensity by region (g·CO2eq/kWh)",
 		"region", "mean", "min", "max", "peak/trough", "shape (72h)")
@@ -92,7 +92,7 @@ func runFig01(Scale) (fmt.Stringer, error) {
 // California (February) and in low-variability Sweden. Paper: CA −36 %
 // carbon, +68 % cost, +5.3 % completion; Sweden −4 % carbon, +76 % cost,
 // 4.9× completion.
-func runFig02(Scale) (fmt.Stringer, error) {
+func runFig02(env runEnv) (fmt.Stringer, error) {
 	// Slice February (+slack for windows) out of the year traces.
 	febStart := simtime.MonthInterval(1).Start.HourIndex()
 	caFeb, err := regionTrace("CA-US").Slice(febStart, febStart+9*24)
@@ -126,11 +126,11 @@ func runFig02(Scale) (fmt.Stringer, error) {
 				Horizon: 5 * simtime.Day,
 			}
 		}
-		base, err := core.Run(mk(policy.NoWait{}), jobs)
+		base, err := env.simulate(mk(policy.NoWait{}), jobs)
 		if err != nil {
 			return nil, err
 		}
-		wa, err := core.Run(mk(policy.WaitAwhile{}), jobs)
+		wa, err := env.simulate(mk(policy.WaitAwhile{}), jobs)
 		if err != nil {
 			return nil, err
 		}
@@ -151,8 +151,8 @@ func runFig02(Scale) (fmt.Stringer, error) {
 
 // runFig05 reproduces Figure 5: job length and CPU demand distribution
 // quantiles for the year-long (100k) and week-long (1k) Alibaba samples.
-func runFig05(scale Scale) (fmt.Stringer, error) {
-	year := yearTrace("alibaba", scale)
+func runFig05(env runEnv) (fmt.Stringer, error) {
+	year := yearTrace("alibaba", env.scale)
 	week := prototypeWeek()
 	lengths := NewTable("Figure 5a — job length CDF points (fraction of jobs ≤ x)",
 		"trace", "≤10min", "≤1h", "≤3h", "≤12h", "≤24h", "≤72h")
@@ -176,7 +176,7 @@ func runFig05(scale Scale) (fmt.Stringer, error) {
 
 // runFig06 reproduces Figure 6: the regions' mean CI and
 // stability classification.
-func runFig06(Scale) (fmt.Stringer, error) {
+func runFig06(runEnv) (fmt.Stringer, error) {
 	t := NewTable("Figure 6 — carbon intensity across cloud regions (full year)",
 		"region", "class", "mean", "std", "CV", "min", "max")
 	for _, spec := range carbon.Regions() {
@@ -188,7 +188,7 @@ func runFig06(Scale) (fmt.Stringer, error) {
 
 // runFig07 reproduces Figure 7: monthly mean CI for California and South
 // Australia (whose mean roughly doubles July→December).
-func runFig07(Scale) (fmt.Stringer, error) {
+func runFig07(runEnv) (fmt.Stringer, error) {
 	ca := regionTrace("CA-US").MonthlyMeans()
 	sa := regionTrace("SA-AU").MonthlyMeans()
 	t := NewTable("Figure 7 — monthly mean carbon intensity (g/kWh)",

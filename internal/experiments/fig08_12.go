@@ -14,27 +14,27 @@ func init() {
 	register(Experiment{
 		ID:    "fig08",
 		Title: "Normalized carbon and waiting time across policies (week trace, SA-AU)",
-		Run:   runFig08,
+		run:   runFig08,
 	})
 	register(Experiment{
 		ID:    "fig09",
 		Title: "CDF of carbon savings by job length (Carbon-Time, Alibaba, SA-AU)",
-		Run:   runFig09,
+		run:   runFig09,
 	})
 	register(Experiment{
 		ID:    "fig10",
 		Title: "Carbon, cost and waiting across policies with reserved capacity",
-		Run:   runFig10,
+		run:   runFig10,
 	})
 	register(Experiment{
 		ID:    "fig11",
 		Title: "Reserved-capacity sweep under RES-First-Carbon-Time",
-		Run:   runFig11,
+		run:   runFig11,
 	})
 	register(Experiment{
 		ID:    "fig12",
 		Title: "Spot and reserved instance combinations",
-		Run:   runFig12,
+		run:   runFig12,
 	})
 }
 
@@ -67,7 +67,7 @@ func weekReserved() (rHalf, rThird int) {
 // Paper shape: suspend-resume (WaitAwhile, Ecovisor) lowest carbon but
 // highest waiting; Lowest-Window within ~16 % of WaitAwhile's carbon;
 // Carbon-Time halves WaitAwhile's waiting at ~23 % more carbon.
-func runFig08(Scale) (fmt.Stringer, error) {
+func runFig08(env runEnv) (fmt.Stringer, error) {
 	tr, err := prototypeCarbon()
 	if err != nil {
 		return nil, err
@@ -81,7 +81,7 @@ func runFig08(Scale) (fmt.Stringer, error) {
 	for _, p := range policies {
 		cells = append(cells, cell{weekConfig(p, tr), jobs})
 	}
-	results, err := runCells("fig08", cells)
+	results, err := env.runCells("fig08", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -107,13 +107,13 @@ func runFig08(Scale) (fmt.Stringer, error) {
 // savings contributed by jobs up to each length, under Carbon-Time on the
 // year-long Alibaba trace in South Australia. Paper: <1 h jobs ≈10 % of
 // savings, 3-12 h ≈50 %, >24 h ≈7.5 %.
-func runFig09(scale Scale) (fmt.Stringer, error) {
-	results, err := runCells("fig09", []cell{{
+func runFig09(env runEnv) (fmt.Stringer, error) {
+	results, err := env.runCells("fig09", []cell{{
 		cfg: core.Config{
 			Policy: policy.CarbonTime{},
 			Carbon: regionTrace("SA-AU"),
 		},
-		jobs: yearTrace("alibaba", scale),
+		jobs: yearTrace("alibaba", env.scale),
 	}})
 	if err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func runFig09(scale Scale) (fmt.Stringer, error) {
 // runFig10 reproduces Figure 10: six policies with reserved capacity
 // (the paper's R=9 on its week trace; scaled to ours), reporting carbon,
 // cost and waiting normalized to the worst per metric.
-func runFig10(Scale) (fmt.Stringer, error) {
+func runFig10(env runEnv) (fmt.Stringer, error) {
 	tr, err := prototypeCarbon()
 	if err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func runFig10(Scale) (fmt.Stringer, error) {
 		mk(policy.CarbonTime{}, false),
 		mk(policy.CarbonTime{}, true), // RES-First-Carbon-Time
 	}
-	results, err := runCells("fig10", cells)
+	results, err := env.runCells("fig10", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func runFig10(Scale) (fmt.Stringer, error) {
 // RES-First-Carbon-Time. Cost falls to a valley near the mean demand then
 // rises; carbon savings shrink as reserved capacity grows; waiting
 // strictly decreases.
-func runFig11(Scale) (fmt.Stringer, error) {
+func runFig11(env runEnv) (fmt.Stringer, error) {
 	tr, err := prototypeCarbon()
 	if err != nil {
 		return nil, err
@@ -210,7 +210,7 @@ func runFig11(Scale) (fmt.Stringer, error) {
 		cells = append(cells, cell{cfg, jobs})
 		sizes = append(sizes, r)
 	}
-	results, err := runCells("fig11", cells)
+	results, err := env.runCells("fig11", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func runFig11(Scale) (fmt.Stringer, error) {
 // runFig12 reproduces Figure 12: spot-only, and spot+reserved mixes.
 // Paper shape: Spot-First keeps Carbon-Time's carbon at ≈17 % lower cost;
 // Spot-RES trades carbon for further cost cuts as reserved grows.
-func runFig12(Scale) (fmt.Stringer, error) {
+func runFig12(env runEnv) (fmt.Stringer, error) {
 	tr, err := prototypeCarbon()
 	if err != nil {
 		return nil, err
@@ -253,7 +253,7 @@ func runFig12(Scale) (fmt.Stringer, error) {
 	add("Spot-RES-Carbon-Time", policy.CarbonTime{}, rHalf, true, true)
 	add("Spot-RES-Carbon-Time", policy.CarbonTime{}, rThird, true, true)
 
-	results, err := runCells("fig12", cells)
+	results, err := env.runCells("fig12", cells)
 	if err != nil {
 		return nil, err
 	}

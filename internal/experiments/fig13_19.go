@@ -14,37 +14,37 @@ func init() {
 	register(Experiment{
 		ID:    "fig13",
 		Title: "Carbon and waiting across workload traces and policies (CA-US)",
-		Run:   runFig13,
+		run:   runFig13,
 	})
 	register(Experiment{
 		ID:    "fig14",
 		Title: "Carbon saved per waiting hour vs waiting-time thresholds",
-		Run:   runFig14,
+		run:   runFig14,
 	})
 	register(Experiment{
 		ID:    "fig15",
 		Title: "Normalized carbon across regions and workloads (Carbon-Time)",
-		Run:   runFig15,
+		run:   runFig15,
 	})
 	register(Experiment{
 		ID:    "fig16",
 		Title: "Normalized and total saved carbon across regions (Alibaba)",
-		Run:   runFig16,
+		run:   runFig16,
 	})
 	register(Experiment{
 		ID:    "fig17",
 		Title: "Cost and carbon with reserved capacity across workload traces (SA-AU)",
-		Run:   runFig17,
+		run:   runFig17,
 	})
 	register(Experiment{
 		ID:    "fig18",
 		Title: "Spot-First cost/carbon vs J^max and eviction rate (Azure, SA-AU)",
-		Run:   runFig18,
+		run:   runFig18,
 	})
 	register(Experiment{
 		ID:    "fig19",
 		Title: "Hybrid spot+reserved sweep at 10% eviction (Azure, SA-AU)",
-		Run:   runFig19,
+		run:   runFig19,
 	})
 }
 
@@ -57,7 +57,7 @@ var figFamilies = []string{"mustang", "alibaba", "azure"}
 // worst waiting (Mustang −26 %, Azure −19 %); Lowest-Window retains ≈68 %
 // of that saving on Mustang but only ≈44 % on Azure; Carbon-Time cuts
 // waiting ≈20 % versus Lowest-Window at similar carbon.
-func runFig13(scale Scale) (fmt.Stringer, error) {
+func runFig13(env runEnv) (fmt.Stringer, error) {
 	carbonTr := regionTrace("CA-US")
 	policies := []policy.Policy{
 		policy.LowestWindow{}, policy.CarbonTime{}, policy.Ecovisor{}, policy.WaitAwhile{},
@@ -66,13 +66,13 @@ func runFig13(scale Scale) (fmt.Stringer, error) {
 	stride := 1 + len(policies)
 	var cells []cell
 	for _, fam := range figFamilies {
-		jobs := yearTrace(fam, scale)
-		cells = append(cells, cell{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs})
+		jobs := yearTrace(fam, env.scale)
+		cells = append(cells, cell{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs})
 		for _, p := range policies {
-			cells = append(cells, cell{core.Config{Policy: p, Carbon: carbonTr, Horizon: horizon(scale)}, jobs})
+			cells = append(cells, cell{core.Config{Policy: p, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs})
 		}
 	}
-	all, err := runCells("fig13", cells)
+	all, err := env.runCells("fig13", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -105,9 +105,9 @@ func runFig13(scale Scale) (fmt.Stringer, error) {
 // (paper: W_short ∈ 0..24 h with W_long=24 h; W_long ∈ 0..84 h with
 // W_short=6 h). Carbon-Time should dominate Lowest-Window on savings per
 // waiting hour everywhere, with diminishing returns beyond ≈12 h.
-func runFig14(scale Scale) (fmt.Stringer, error) {
+func runFig14(env runEnv) (fmt.Stringer, error) {
 	carbonTr := regionTrace("SA-AU")
-	jobs := yearTrace("alibaba", scale)
+	jobs := yearTrace("alibaba", env.scale)
 	asCfg := func(w simtime.Duration) simtime.Duration {
 		if w == 0 {
 			return -1 // explicit zero (0 would select the default)
@@ -118,7 +118,7 @@ func runFig14(scale Scale) (fmt.Stringer, error) {
 		return cell{core.Config{
 			Policy:    p,
 			Carbon:    carbonTr,
-			Horizon:   horizon(scale),
+			Horizon:   horizon(env.scale),
 			WaitShort: asCfg(wShort),
 			WaitLong:  asCfg(wLong),
 		}, jobs}
@@ -128,7 +128,7 @@ func runFig14(scale Scale) (fmt.Stringer, error) {
 	// Lowest-Window and a Carbon-Time cell.
 	shortWs := []int{0, 3, 6, 9, 12, 18, 24}
 	longWs := []int{0, 12, 24, 36, 48, 60, 72, 84}
-	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs}}
+	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs}}
 	for _, w := range shortWs {
 		cells = append(cells,
 			mk(policy.LowestWindow{}, simtime.Duration(w)*simtime.Hour, 24*simtime.Hour),
@@ -139,7 +139,7 @@ func runFig14(scale Scale) (fmt.Stringer, error) {
 			mk(policy.LowestWindow{}, 6*simtime.Hour, simtime.Duration(w)*simtime.Hour),
 			mk(policy.CarbonTime{}, 6*simtime.Hour, simtime.Duration(w)*simtime.Hour))
 	}
-	results, err := runCells("fig14", cells)
+	results, err := env.runCells("fig14", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -174,19 +174,19 @@ func runFig14(scale Scale) (fmt.Stringer, error) {
 // runFig15 reproduces Figure 15: Carbon-Time's normalized carbon across
 // the five evaluation regions and three workloads. Paper: SA-AU saves the
 // most (≈27.5 %), KY-US almost nothing (≈1 %).
-func runFig15(scale Scale) (fmt.Stringer, error) {
+func runFig15(env runEnv) (fmt.Stringer, error) {
 	// One (NoWait, Carbon-Time) cell pair per region × family.
 	var cells []cell
 	for _, region := range evaluationRegions() {
 		carbonTr := regionTrace(region)
 		for _, fam := range figFamilies {
-			jobs := yearTrace(fam, scale)
+			jobs := yearTrace(fam, env.scale)
 			cells = append(cells,
-				cell{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs},
-				cell{core.Config{Policy: policy.CarbonTime{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs})
+				cell{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs},
+				cell{core.Config{Policy: policy.CarbonTime{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs})
 		}
 	}
-	results, err := runCells("fig15", cells)
+	results, err := env.runCells("fig15", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -209,16 +209,16 @@ func runFig15(scale Scale) (fmt.Stringer, error) {
 // runFig16 reproduces Figure 16: normalized carbon and total saved
 // kilograms for the Alibaba trace across regions — total savings depend on
 // the region's absolute CI, not just its variability.
-func runFig16(scale Scale) (fmt.Stringer, error) {
-	jobs := yearTrace("alibaba", scale)
+func runFig16(env runEnv) (fmt.Stringer, error) {
+	jobs := yearTrace("alibaba", env.scale)
 	var cells []cell
 	for _, region := range evaluationRegions() {
 		carbonTr := regionTrace(region)
 		cells = append(cells,
-			cell{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs},
-			cell{core.Config{Policy: policy.CarbonTime{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs})
+			cell{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs},
+			cell{core.Config{Policy: policy.CarbonTime{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs})
 	}
-	results, err := runCells("fig16", cells)
+	results, err := env.runCells("fig16", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func runFig16(scale Scale) (fmt.Stringer, error) {
 // RES-First-Carbon-Time lands within ≈9 % of the cheapest cost at close to
 // Ecovisor's carbon; high-demand-variability traces (Mustang) save more
 // carbon but less cost.
-func runFig17(scale Scale) (fmt.Stringer, error) {
+func runFig17(env runEnv) (fmt.Stringer, error) {
 	carbonTr := regionTrace("SA-AU")
 	type entry struct {
 		p  policy.Policy
@@ -256,19 +256,19 @@ func runFig17(scale Scale) (fmt.Stringer, error) {
 	var cells []cell
 	rs := make([]int, len(figFamilies))
 	for fi, fam := range figFamilies {
-		jobs := yearTrace(fam, scale)
-		rs[fi] = int(math.Round(meanDemand(fam, scale)))
+		jobs := yearTrace(fam, env.scale)
+		rs[fi] = int(math.Round(meanDemand(fam, env.scale)))
 		for _, e := range entries {
 			cells = append(cells, cell{core.Config{
 				Policy:         e.p,
 				Carbon:         carbonTr,
-				Horizon:        horizon(scale),
+				Horizon:        horizon(env.scale),
 				Reserved:       rs[fi],
 				WorkConserving: e.wc,
 			}, jobs})
 		}
 	}
-	all, err := runCells("fig17", cells)
+	all, err := env.runCells("fig17", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -297,26 +297,26 @@ func runFig17(scale Scale) (fmt.Stringer, error) {
 // eviction rates. Paper shape: with zero evictions longer J^max always
 // helps cost at unchanged carbon; at 15 % eviction extending beyond ≈6 h
 // buys no cost and adds up to ≈12 % carbon.
-func runFig18(scale Scale) (fmt.Stringer, error) {
+func runFig18(env runEnv) (fmt.Stringer, error) {
 	carbonTr := regionTrace("SA-AU")
-	jobs := yearTrace("azure", scale)
+	jobs := yearTrace("azure", env.scale)
 	evicts := []float64{0, 0.05, 0.10, 0.15}
 	jmaxes := []int{2, 6, 12, 18, 24}
 	// Cell 0 is the NoWait baseline; the rest sweep (eviction, Jmax).
-	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs}}
+	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs}}
 	for _, evict := range evicts {
 		for _, jmax := range jmaxes {
 			cells = append(cells, cell{core.Config{
 				Policy:       policy.CarbonTime{},
 				Carbon:       carbonTr,
-				Horizon:      horizon(scale),
+				Horizon:      horizon(env.scale),
 				SpotMaxLen:   simtime.Duration(jmax) * simtime.Hour,
 				EvictionRate: evict,
 				Seed:         seedEviction,
 			}, jobs})
 		}
 	}
-	results, err := runCells("fig18", cells)
+	results, err := env.runCells("fig18", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -341,12 +341,12 @@ func runFig18(scale Scale) (fmt.Stringer, error) {
 // J^max values. Paper shape: every curve has a cost valley; splitting
 // demand between spot and reserved keeps several % carbon savings at the
 // valley.
-func runFig19(scale Scale) (fmt.Stringer, error) {
+func runFig19(env runEnv) (fmt.Stringer, error) {
 	carbonTr := regionTrace("SA-AU")
-	jobs := yearTrace("azure", scale)
-	demand := meanDemand("azure", scale)
+	jobs := yearTrace("azure", env.scale)
+	demand := meanDemand("azure", env.scale)
 	// Cell 0 is the NoWait baseline; the rest sweep (Jmax, reserved).
-	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs}}
+	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs}}
 	type point struct{ jmax, r int }
 	var points []point
 	for _, jmax := range []int{0, 2, 6, 12} {
@@ -355,7 +355,7 @@ func runFig19(scale Scale) (fmt.Stringer, error) {
 			cfg := core.Config{
 				Policy:         policy.CarbonTime{},
 				Carbon:         carbonTr,
-				Horizon:        horizon(scale),
+				Horizon:        horizon(env.scale),
 				Reserved:       r,
 				WorkConserving: true,
 				EvictionRate:   0.10,
@@ -368,7 +368,7 @@ func runFig19(scale Scale) (fmt.Stringer, error) {
 			points = append(points, point{jmax, r})
 		}
 	}
-	results, err := runCells("fig19", cells)
+	results, err := env.runCells("fig19", cells)
 	if err != nil {
 		return nil, err
 	}

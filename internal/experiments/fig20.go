@@ -13,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig20",
 		Title: "Carbon intensity vs energy price on an ERCOT-like grid",
-		Run:   runFig20,
+		run:   runFig20,
 	})
 }
 
@@ -23,7 +23,7 @@ func init() {
 // on some days the price valley aligns with the carbon valley and a
 // single schedule optimizes both; on others they conflict and private
 // cloud operators face their own carbon-cost trade-off.
-func runFig20(Scale) (fmt.Stringer, error) {
+func runFig20(runEnv) (fmt.Stringer, error) {
 	ci, price := carbon.DefaultERCOTModel().Generate(24*365, seedCarbon+100)
 	corr, err := carbon.CarbonPriceCorrelation(ci, price)
 	if err != nil {

@@ -169,17 +169,29 @@ type cell struct {
 // runCells executes every cell of the figure with the given experiment ID
 // on the sweep worker pool and returns the results in input order —
 // exactly what running the cells sequentially through core.Run would
-// produce. Cells route through the active simulation cache (when one is
+// produce. Cells route through the env's simulation cache (when one is
 // set), which serves repeated cells from memory or disk bit-identically;
 // outcomes are recorded against id for the cache-stats report.
-func runCells(id string, cells []cell) ([]*metrics.Result, error) {
-	cache := ActiveCache()
+func (env runEnv) runCells(id string, cells []cell) ([]*metrics.Result, error) {
 	return par.Map(Parallelism(), cells, func(_ int, c cell) (*metrics.Result, error) {
-		if cache == nil {
-			return core.Run(c.cfg, c.jobs)
+		if env.cache == nil {
+			return env.simulate(c.cfg, c.jobs)
 		}
-		res, outcome, err := cache.Run(c.cfg, c.jobs)
+		res, outcome, err := env.cache.Run(env.adjusted(c.cfg, c.jobs), c.jobs)
 		recordOutcome(id, outcome)
 		return res, err
 	})
+}
+
+// simulate runs one config through core.Run, outside any cache.
+func (env runEnv) simulate(cfg core.Config, jobs *workload.Trace) (*metrics.Result, error) {
+	return core.Run(env.adjusted(cfg, jobs), jobs)
+}
+
+// adjusted returns cfg as the env's adjust hook rewrites it.
+func (env runEnv) adjusted(cfg core.Config, jobs *workload.Trace) core.Config {
+	if env.adjust != nil {
+		env.adjust(&cfg, jobs)
+	}
+	return cfg
 }

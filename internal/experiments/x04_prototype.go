@@ -13,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "x04-prototype",
 		Title: "Validation: GAIA-Simulator vs the node-level prototype runtime",
-		Run:   runX04Prototype,
+		run:   runX04Prototype,
 	})
 }
 
@@ -24,7 +24,7 @@ func init() {
 // paper argues normalized metrics let the simulator neglect these
 // overheads — this experiment quantifies exactly how much the overheads
 // shift absolute and normalized numbers.
-func runX04Prototype(Scale) (fmt.Stringer, error) {
+func runX04Prototype(env runEnv) (fmt.Stringer, error) {
 	tr, err := prototypeCarbon()
 	if err != nil {
 		return nil, err
@@ -47,7 +47,7 @@ func runX04Prototype(Scale) (fmt.Stringer, error) {
 		"policy", "runtime", "carbon(kg)", "cost($)", "wait(h)", "nodes")
 	var simBase, protoBase float64
 	for i, pp := range policies {
-		simRes, err := core.Run(core.Config{
+		simRes, err := env.simulate(core.Config{
 			Policy:   pp.p,
 			Carbon:   tr,
 			Reserved: rHalf,

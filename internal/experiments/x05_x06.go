@@ -14,12 +14,12 @@ func init() {
 	register(Experiment{
 		ID:    "x05-checkpoint",
 		Title: "Extension: spot checkpoint/restart trade-off (§4.2.4 future work)",
-		Run:   runX05Checkpoint,
+		run:   runX05Checkpoint,
 	})
 	register(Experiment{
 		ID:    "x06-spatial",
 		Title: "Extension: spatial + temporal shifting across regions (§2.1 future work)",
-		Run:   runX06Spatial,
+		run:   runX06Spatial,
 	})
 }
 
@@ -27,19 +27,19 @@ func init() {
 // checkpointing overhead vs eviction rate vs recomputation. Replays the
 // Figure-18 setting (Azure trace, SA-AU, Spot-First-Carbon-Time,
 // J^max = 12 h) with checkpoint/restart enabled at various intervals.
-func runX05Checkpoint(scale Scale) (fmt.Stringer, error) {
+func runX05Checkpoint(env runEnv) (fmt.Stringer, error) {
 	carbonTr := regionTrace("SA-AU")
-	jobs := yearTrace("azure", scale)
+	jobs := yearTrace("azure", env.scale)
 	evicts := []float64{0.05, 0.10, 0.15}
 	intervals := []simtime.Duration{0, 30 * simtime.Minute, simtime.Hour, 2 * simtime.Hour, 6 * simtime.Hour}
 	// Cell 0 is the NoWait baseline; the rest sweep (eviction, interval).
-	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(scale)}, jobs}}
+	cells := []cell{{core.Config{Policy: policy.NoWait{}, Carbon: carbonTr, Horizon: horizon(env.scale)}, jobs}}
 	for _, evict := range evicts {
 		for _, interval := range intervals {
 			cells = append(cells, cell{core.Config{
 				Policy:             policy.CarbonTime{},
 				Carbon:             carbonTr,
-				Horizon:            horizon(scale),
+				Horizon:            horizon(env.scale),
 				SpotMaxLen:         12 * simtime.Hour,
 				EvictionRate:       evict,
 				Seed:               seedEviction,
@@ -48,7 +48,7 @@ func runX05Checkpoint(scale Scale) (fmt.Stringer, error) {
 			}, jobs})
 		}
 	}
-	results, err := runCells("x05-checkpoint", cells)
+	results, err := env.runCells("x05-checkpoint", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -77,8 +77,8 @@ func runX05Checkpoint(scale Scale) (fmt.Stringer, error) {
 // combining temporal shifting with region choice. Compares each
 // single-region Carbon-Time deployment against the spatial scheduler
 // choosing per job among all five evaluation regions.
-func runX06Spatial(scale Scale) (fmt.Stringer, error) {
-	jobs := yearTrace("alibaba", scale)
+func runX06Spatial(env runEnv) (fmt.Stringer, error) {
+	jobs := yearTrace("alibaba", env.scale)
 	t := NewTable("Extension x06 — temporal-only vs spatial+temporal (Alibaba, Carbon-Time)",
 		"deployment", "carbon(kg)", "vs dirtiest", "wait(h)")
 	var regions []*carbon.Trace
@@ -86,9 +86,9 @@ func runX06Spatial(scale Scale) (fmt.Stringer, error) {
 	for _, code := range evaluationRegions() {
 		tr := regionTrace(code)
 		regions = append(regions, tr)
-		cells = append(cells, cell{core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Horizon: horizon(scale)}, jobs})
+		cells = append(cells, cell{core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Horizon: horizon(env.scale)}, jobs})
 	}
-	results, err := runCells("x06-spatial", cells)
+	results, err := env.runCells("x06-spatial", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func runX06Spatial(scale Scale) (fmt.Stringer, error) {
 	multi, err := geo.Run(geo.Config{
 		Policy:  policy.CarbonTime{},
 		Regions: regions,
-		Horizon: horizon(scale),
+		Horizon: horizon(env.scale),
 	}, jobs)
 	if err != nil {
 		return nil, err

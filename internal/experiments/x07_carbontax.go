@@ -14,7 +14,7 @@ func init() {
 	register(Experiment{
 		ID:    "x07-carbontax",
 		Title: "Extension: carbon tax folds the trade-off into cost (Discussion §7)",
-		Run:   runX07CarbonTax,
+		run:   runX07CarbonTax,
 	})
 }
 
@@ -29,10 +29,10 @@ func init() {
 // is swept over tax ∈ {0, 50, 100, 200, 500, 2000} $/tonne. At tax 0 it
 // optimizes the bill and saves carbon only incidentally; as the tax grows
 // its schedule converges to the carbon-optimal one.
-func runX07CarbonTax(scale Scale) (fmt.Stringer, error) {
-	hours := int(horizon(scale)/60) / 60 * 60 // whole hours of the horizon
+func runX07CarbonTax(env runEnv) (fmt.Stringer, error) {
+	hours := int(horizon(env.scale)/60) / 60 * 60 // whole hours of the horizon
 	ci, price := carbon.DefaultERCOTModel().Generate(hours+7*24, seedCarbon+100)
-	jobs := yearTrace("alibaba", scale)
+	jobs := yearTrace("alibaba", env.scale)
 
 	// billFor measures the energy bill of a schedule by re-running the
 	// identical decisions with the price series as the "carbon" trace:
@@ -50,10 +50,10 @@ func runX07CarbonTax(scale Scale) (fmt.Stringer, error) {
 
 	// Baselines on the Texas grid (carbon-agnostic, carbon-optimal, and
 	// the carbon-agnostic energy bill) run as one parallel batch.
-	baselines, err := runCells("x07-carbontax", []cell{
-		{core.Config{Policy: policy.NoWait{}, Carbon: ci, Horizon: horizon(scale)}, jobs},
-		{core.Config{Policy: policy.LowestWindow{}, Carbon: ci, Horizon: horizon(scale)}, jobs},
-		{core.Config{Policy: policy.NoWait{}, Carbon: priceTrace, Horizon: horizon(scale)}, jobs},
+	baselines, err := env.runCells("x07-carbontax", []cell{
+		{core.Config{Policy: policy.NoWait{}, Carbon: ci, Horizon: horizon(env.scale)}, jobs},
+		{core.Config{Policy: policy.LowestWindow{}, Carbon: ci, Horizon: horizon(env.scale)}, jobs},
+		{core.Config{Policy: policy.NoWait{}, Carbon: priceTrace, Horizon: horizon(env.scale)}, jobs},
 	})
 	if err != nil {
 		return nil, err
@@ -81,13 +81,13 @@ func runX07CarbonTax(scale Scale) (fmt.Stringer, error) {
 			Policy:  policy.LowestWindow{}, // cost-only: chases cheap tariff windows
 			Carbon:  ci,
 			CIS:     carbon.NewPerfectService(tariffTrace),
-			Horizon: horizon(scale),
+			Horizon: horizon(env.scale),
 		}
 		billCfg := cfg
 		billCfg.Carbon = priceTrace
 		taxCells = append(taxCells, cell{cfg, jobs}, cell{billCfg, jobs})
 	}
-	taxResults, err := runCells("x07-carbontax", taxCells)
+	taxResults, err := env.runCells("x07-carbontax", taxCells)
 	if err != nil {
 		return nil, err
 	}

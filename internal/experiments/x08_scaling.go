@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "x08-scaling",
 		Title: "Extension: demand scaling as a carbon-saving modality (conclusion's future work)",
-		Run:   runX08Scaling,
+		run:   runX08Scaling,
 	})
 }
 
@@ -25,16 +25,16 @@ func init() {
 // CarbonScaler-style width scaling (run wide in clean hours). Scaling
 // trades extra CPU-hours (Amdahl inefficiency) for the freedom to
 // concentrate work into the cleanest hours.
-func runX08Scaling(scale Scale) (fmt.Stringer, error) {
+func runX08Scaling(env runEnv) (fmt.Stringer, error) {
 	tr := regionTrace("SA-AU")
 	cis := carbon.NewPerfectService(tr)
 	rng := rand.New(rand.NewSource(seedWorkload + 80))
 
 	nJobs := 300
-	if scale == Full {
+	if env.scale == Full {
 		nJobs = 3000
 	}
-	span := horizon(scale) - 4*simtime.Day
+	span := horizon(env.scale) - 4*simtime.Day
 	lengths := stats.NewTruncLogNormal(rng, 1.6, 1.0, 0.5, 36) // serial hours
 	jobs := make([]scaling.ElasticJob, 0, nJobs)
 	for i := 0; i < nJobs; i++ {

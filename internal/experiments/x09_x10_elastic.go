@@ -15,12 +15,12 @@ func init() {
 	register(Experiment{
 		ID:    "x09-elastic",
 		Title: "Extension: malleable jobs — carbon-elastic allocation vs rigid baselines (CarbonScaler §2.3)",
-		Run:   runX09Elastic,
+		run:   runX09Elastic,
 	})
 	register(Experiment{
 		ID:    "x10-dag",
 		Title: "Extension: DAG pipelines — critical-path-aware shifting vs blanket Carbon-Time",
-		Run:   runX10DAG,
+		run:   runX10DAG,
 	})
 }
 
@@ -149,16 +149,16 @@ func dagPipelineTrace(s Scale) *workload.ElasticTrace {
 // resizing malleable jobs each hour — extra replicas ride idle reserved
 // capacity in clean hours and preemptible jobs suspend in dirty ones. All
 // columns are normalized to No-Wait in the same region.
-func runX09Elastic(scale Scale) (fmt.Stringer, error) {
-	et := elasticYearTrace(scale)
+func runX09Elastic(env runEnv) (fmt.Stringer, error) {
+	et := elasticYearTrace(env.scale)
 	jobs := et.Jobs
-	reserved := int(meanDemand("alibaba", scale))
+	reserved := int(meanDemand("alibaba", env.scale))
 
 	regions := evaluationRegions()
 	var cells []cell
 	for _, code := range regions {
 		tr := regionTrace(code)
-		base := core.Config{Reserved: reserved, Carbon: tr, Horizon: horizon(scale)}
+		base := core.Config{Reserved: reserved, Carbon: tr, Horizon: horizon(env.scale)}
 		noWait, lowest, ctime := base, base, base
 		noWait.Policy = policy.NoWait{}
 		lowest.Policy = policy.LowestWindow{}
@@ -176,7 +176,7 @@ func runX09Elastic(scale Scale) (fmt.Stringer, error) {
 		cells = append(cells,
 			cell{noWait, jobs}, cell{lowest, jobs}, cell{ctime, jobs}, cell{elastic, jobs})
 	}
-	results, err := runCells("x09-elastic", cells)
+	results, err := env.runCells("x09-elastic", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +203,8 @@ func runX09Elastic(scale Scale) (fmt.Stringer, error) {
 // stage by its full queue window (stretching the chain), and
 // Critical-Path caps each stage's window by its slack so only
 // off-critical-path stages wait.
-func runX10DAG(scale Scale) (fmt.Stringer, error) {
-	et := dagPipelineTrace(scale)
+func runX10DAG(env runEnv) (fmt.Stringer, error) {
+	et := dagPipelineTrace(env.scale)
 	jobs := et.Jobs
 	tr := regionTrace("SA-AU")
 
@@ -221,11 +221,11 @@ func runX10DAG(scale Scale) (fmt.Stringer, error) {
 		cells = append(cells, cell{core.Config{
 			Policy:  pc.p,
 			Carbon:  tr,
-			Horizon: horizon(scale),
+			Horizon: horizon(env.scale),
 			Elastic: et,
 		}, jobs})
 	}
-	results, err := runCells("x10-dag", cells)
+	results, err := env.runCells("x10-dag", cells)
 	if err != nil {
 		return nil, err
 	}

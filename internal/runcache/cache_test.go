@@ -80,6 +80,43 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 
 // TestCacheLabelsStayPerRequester: two configs differing only in Label
 // share a cache cell yet keep their own labels.
+// TestCacheDegenerateWrap: a config wrapped in the degenerate elastic
+// contract is cacheable under its own key. Its cached result equals a
+// fresh run, a second wrap of the same trace hits the same entry, and a
+// rigid request never reads the wrapped entry.
+func TestCacheDegenerateWrap(t *testing.T) {
+	rigid, jobs := fixture(t)
+	wrapped := rigid
+	wrapped.Elastic = workload.Degenerate(jobs)
+	want, err := core.Run(wrapped, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	for i, o := range []Outcome{Computed, Hit} {
+		cfg := rigid
+		cfg.Elastic = workload.Degenerate(jobs)
+		got, outcome, err := c.Run(cfg, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != o {
+			t.Errorf("wrapped request %d: outcome %v, want %v", i, outcome, o)
+		}
+		sameResult(t, got, want)
+	}
+	got, outcome, err := c.Run(rigid, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != Computed {
+		t.Errorf("rigid request after wrapped: outcome %v, want computed", outcome)
+	}
+	if got.String() != want.String() {
+		t.Errorf("rigid result differs from the degenerate wrap:\n%s\nvs\n%s", got, want)
+	}
+}
+
 func TestCacheLabelsStayPerRequester(t *testing.T) {
 	cfg, jobs := fixture(t)
 	c := New()
@@ -111,6 +148,8 @@ func TestCacheBypass(t *testing.T) {
 	for name, bad := range map[string]core.Config{
 		"noisy CIS": noisy,
 		"retained":  {Policy: cfg.Policy, Carbon: cfg.Carbon, RetainJobs: true},
+		"engine":    {Policy: cfg.Policy, Carbon: cfg.Carbon, Mechanism: core.Engine},
+		"heap":      {Policy: cfg.Policy, Carbon: cfg.Carbon, Mechanism: core.HeapEngine},
 	} {
 		for i := 0; i < 2; i++ {
 			res, outcome, err := c.Run(bad, jobs)

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"github.com/carbonsched/gaia/internal/simtime"
 )
@@ -147,11 +147,8 @@ type ElasticTrace struct {
 	succs        [][]int32
 	slack        []simtime.Duration
 	critical     simtime.Duration
+	fp           atomic.Pointer[[32]byte] // memoizes Fingerprint
 }
-
-// elasticFingerprints memoizes ElasticTrace.Fingerprint per instance, the
-// same side-table idiom Trace uses.
-var elasticFingerprints sync.Map // *ElasticTrace → *[32]byte
 
 // NewElasticTrace builds an elastic trace from parallel job/spec slices
 // and precedence edges. Jobs are stably sorted by arrival and renumbered
@@ -474,8 +471,8 @@ func (et *ElasticTrace) CriticalPathLength() simtime.Duration { return et.critic
 // every edge. Memoized per instance; callers must not mutate the trace
 // after fingerprinting.
 func (et *ElasticTrace) Fingerprint() [32]byte {
-	if fp, ok := elasticFingerprints.Load(et); ok {
-		return *fp.(*[32]byte)
+	if fp := et.fp.Load(); fp != nil {
+		return *fp
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -502,6 +499,6 @@ func (et *ElasticTrace) Fingerprint() [32]byte {
 	}
 	fp := new([32]byte)
 	h.Sum(fp[:0])
-	elasticFingerprints.Store(et, fp)
+	et.fp.Store(fp)
 	return *fp
 }

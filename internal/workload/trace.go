@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/stats"
@@ -17,12 +17,12 @@ import (
 type Trace struct {
 	Name string
 	Jobs []Job
-}
 
-// fingerprints memoizes Trace.Fingerprint per trace instance. The memo is
-// a side table (rather than a field) so Trace stays a plain copyable
-// struct; traces are long-lived fixtures, so entries are never evicted.
-var fingerprints sync.Map // *Trace → *[32]byte
+	// fp memoizes Fingerprint. It lives on the trace, so it is collected
+	// with it, and its noCopy guard makes vet flag a copied trace that
+	// would otherwise carry a stale memo.
+	fp atomic.Pointer[[32]byte]
+}
 
 // Fingerprint returns a content hash of the trace's scheduling-relevant
 // content: the name and every job's ID, arrival, length, CPU demand and
@@ -36,8 +36,8 @@ var fingerprints sync.Map // *Trace → *[32]byte
 // sweep engine already relies on). It is the workload half of the
 // content-addressed simulation cache key.
 func (t *Trace) Fingerprint() [32]byte {
-	if fp, ok := fingerprints.Load(t); ok {
-		return *fp.(*[32]byte)
+	if fp := t.fp.Load(); fp != nil {
+		return *fp
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -63,7 +63,7 @@ func (t *Trace) Fingerprint() [32]byte {
 	}
 	fp := new([32]byte)
 	h.Sum(fp[:0])
-	fingerprints.Store(t, fp)
+	t.fp.Store(fp)
 	return *fp
 }
 
