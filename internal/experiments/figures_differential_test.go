@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,8 +43,6 @@ func pinMechanism(m core.Mechanism) func(*core.Config, *workload.Trace) {
 	return func(c *core.Config, _ *workload.Trace) { c.Mechanism = m }
 }
 
-// wrapDegenerate wraps rigid configs in the degenerate elastic contract;
-// configs that already carry elastic specs (x09, x10) keep them.
 // wrapDegenerate wraps rigid configs in the degenerate elastic contract;
 // configs that already carry elastic specs (x09, x10) keep them.
 func wrapDegenerate(c *core.Config, jobs *workload.Trace) {
@@ -144,5 +148,85 @@ func runDifferential(t *testing.T) {
 					adjusted.Load(), e.ID, nonSimulating[e.ID])
 			}
 		})
+	}
+}
+
+// TestFiguresSimulateOnlyThroughEnv is the static half of the adjust
+// guard. The runtime guard only sees that a figure adjusted some config,
+// so a figure mixing env cells with a direct simulation would pass it
+// while that simulation escaped every row. Outside sweep.go, no non-test
+// file of this package may name a Run function of core, or of geo, whose
+// Run simulates each region through core.Run (figures use geo.Place and
+// run the placement's cells through the env instead).
+func TestFiguresSimulateOnlyThroughEnv(t *testing.T) {
+	simulators := map[string]bool{
+		"github.com/carbonsched/gaia/internal/core": true,
+		"github.com/carbonsched/gaia/internal/geo":  true,
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || name == "sweep.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := map[string]bool{} // file-local names of the simulator packages
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if !simulators[path] {
+				continue
+			}
+			if imp.Name != nil {
+				local[imp.Name.Name] = true
+			} else {
+				local[filepath.Base(path)] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && local[pkg.Name] && strings.HasPrefix(sel.Sel.Name, "Run") {
+				t.Errorf("%s: %s.%s simulates outside the figure's runEnv",
+					fset.Position(sel.Pos()), pkg.Name, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// TestX06SpatialRegionsRunUnderEnv pins that x06's multi-region half
+// reaches the adjust hook: besides the single-region cells, every
+// region's share of the spatial placement must pass through it, so a
+// differential row pins those runs' mechanism too.
+func TestX06SpatialRegionsRunUnderEnv(t *testing.T) {
+	var mu sync.Mutex
+	adjusted := map[string]bool{}
+	env := runEnv{scale: Quick, adjust: func(c *core.Config, jobs *workload.Trace) {
+		mu.Lock()
+		adjusted[jobs.Name+"|"+c.Carbon.Region()] = true
+		mu.Unlock()
+	}}
+	if _, err := runX06Spatial(env); err != nil {
+		t.Fatal(err)
+	}
+	jobs := yearTrace("alibaba", Quick)
+	for _, code := range evaluationRegions() {
+		region := regionTrace(code).Region()
+		for _, name := range []string{jobs.Name, jobs.Name + "@" + region} {
+			if !adjusted[name+"|"+region] {
+				t.Errorf("run of %s in %s never reached the adjust hook", name, code)
+			}
+		}
+	}
+	if len(adjusted) != 2*len(evaluationRegions()) {
+		t.Errorf("adjust saw %d distinct runs, want %d: %v", len(adjusted), 2*len(evaluationRegions()), adjusted)
 	}
 }

@@ -177,21 +177,20 @@ func (env runEnv) runCells(id string, cells []cell) ([]*metrics.Result, error) {
 		if env.cache == nil {
 			return env.simulate(c.cfg, c.jobs)
 		}
-		res, outcome, err := env.cache.Run(env.adjusted(c.cfg, c.jobs), c.jobs)
+		if env.adjust != nil {
+			env.adjust(&c.cfg, c.jobs)
+		}
+		res, outcome, err := env.cache.Run(c.cfg, c.jobs)
 		recordOutcome(id, outcome)
 		return res, err
 	})
 }
 
-// simulate runs one config through core.Run, outside any cache.
+// simulate runs one config, as the env's adjust hook rewrites it, through
+// core.Run outside any cache.
 func (env runEnv) simulate(cfg core.Config, jobs *workload.Trace) (*metrics.Result, error) {
-	return core.Run(env.adjusted(cfg, jobs), jobs)
-}
-
-// adjusted returns cfg as the env's adjust hook rewrites it.
-func (env runEnv) adjusted(cfg core.Config, jobs *workload.Trace) core.Config {
 	if env.adjust != nil {
 		env.adjust(&cfg, jobs)
 	}
-	return cfg
+	return core.Run(cfg, jobs)
 }

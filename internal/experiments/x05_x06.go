@@ -88,10 +88,24 @@ func runX06Spatial(env runEnv) (fmt.Stringer, error) {
 		regions = append(regions, tr)
 		cells = append(cells, cell{core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Horizon: horizon(env.scale)}, jobs})
 	}
+	// The spatial half places jobs without simulating; each region's
+	// share then runs as one more cell, under that region's config.
+	assignments, regionJobs, err := geo.Place(geo.Config{
+		Policy:  policy.CarbonTime{},
+		Regions: regions,
+		Horizon: horizon(env.scale),
+	}, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, sub := range regionJobs {
+		cells = append(cells, cell{cells[i].cfg, sub})
+	}
 	results, err := env.runCells("x06-spatial", cells)
 	if err != nil {
 		return nil, err
 	}
+	multi := &geo.Result{Assignments: assignments, PerRegion: results[len(regions):]}
 	worst := 0.0
 	type row struct {
 		name string
@@ -105,14 +119,6 @@ func runX06Spatial(env runEnv) (fmt.Stringer, error) {
 		if res.TotalCarbonKg() > worst {
 			worst = res.TotalCarbonKg()
 		}
-	}
-	multi, err := geo.Run(geo.Config{
-		Policy:  policy.CarbonTime{},
-		Regions: regions,
-		Horizon: horizon(env.scale),
-	}, jobs)
-	if err != nil {
-		return nil, err
 	}
 	rows = append(rows, row{"spatial (all 5)", multi.TotalCarbon() / 1000, multi.MeanWaiting().Hours()})
 	for _, r := range rows {

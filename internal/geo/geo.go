@@ -98,24 +98,43 @@ func (r *Result) JobShare() []float64 {
 
 // Run places every job spatially and simulates each region's cluster.
 func Run(cfg Config, jobs *workload.Trace) (*Result, error) {
+	assignments, regionJobs, err := Place(cfg, jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Assignments: assignments, PerRegion: make([]*metrics.Result, len(regionJobs))}
+	for i, sub := range regionJobs {
+		out.PerRegion[i], err = core.Run(core.Config{
+			Policy:    cfg.Policy,
+			Carbon:    cfg.Regions[i],
+			ShortMax:  cfg.ShortMax,
+			WaitShort: cfg.WaitShort,
+			WaitLong:  cfg.WaitLong,
+			Horizon:   cfg.Horizon,
+		}, sub)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Place is Run without the simulations: it assigns every job (by ID) to
+// the region whose temporal decision forecasts the least carbon and
+// returns each region's jobs as a trace (possibly empty), indexed like
+// cfg.Regions, for the caller to simulate.
+func Place(cfg Config, jobs *workload.Trace) (assignments map[int]int, regionJobs []*workload.Trace, err error) {
 	if cfg.Policy == nil {
-		return nil, errors.New("geo: config needs a policy")
+		return nil, nil, errors.New("geo: config needs a policy")
 	}
 	if len(cfg.Regions) == 0 {
-		return nil, errors.New("geo: config needs at least one region")
+		return nil, nil, errors.New("geo: config needs at least one region")
 	}
-	if cfg.ShortMax == 0 {
-		cfg.ShortMax = 2 * simtime.Hour
-	}
-	if cfg.WaitShort == 0 {
-		cfg.WaitShort = 6 * simtime.Hour
-	}
-	if cfg.WaitLong == 0 {
-		cfg.WaitLong = 24 * simtime.Hour
-	}
+	// Placement sees the queue bounds each region's simulation runs with.
+	q := core.Config{ShortMax: cfg.ShortMax, WaitShort: cfg.WaitShort, WaitLong: cfg.WaitLong}.Canonical()
 
 	trace := workload.MustTrace(jobs.Name, jobs.Jobs)
-	trace.AssignQueues(cfg.ShortMax)
+	trace.AssignQueues(q.ShortMax)
 
 	// Per-region policy contexts (queue averages come from the full
 	// trace: the per-queue length statistics are region-independent).
@@ -124,8 +143,8 @@ func Run(cfg Config, jobs *workload.Trace) (*Result, error) {
 		contexts[i] = &policy.Context{
 			CIS: carbon.NewPerfectService(tr),
 			Queues: map[workload.Queue]policy.QueueInfo{
-				workload.QueueShort: {MaxWait: cfg.WaitShort, AvgLength: trace.MeanLengthByQueue(workload.QueueShort)},
-				workload.QueueLong:  {MaxWait: cfg.WaitLong, AvgLength: trace.MeanLengthByQueue(workload.QueueLong)},
+				workload.QueueShort: {MaxWait: q.WaitShort, AvgLength: trace.MeanLengthByQueue(workload.QueueShort)},
+				workload.QueueLong:  {MaxWait: q.WaitLong, AvgLength: trace.MeanLengthByQueue(workload.QueueLong)},
 			},
 		}
 		// The placement loop probes every region's context per job;
@@ -135,7 +154,7 @@ func Run(cfg Config, jobs *workload.Trace) (*Result, error) {
 
 	// Spatial placement: the region whose temporal decision forecasts
 	// the least carbon for this job wins it.
-	assignments := make(map[int]int, trace.Len())
+	assignments = make(map[int]int, trace.Len())
 	perRegionJobs := make([][]workload.Job, len(cfg.Regions))
 	for _, job := range trace.Jobs {
 		best, bestCarbon := 0, 0.0
@@ -150,26 +169,14 @@ func Run(cfg Config, jobs *workload.Trace) (*Result, error) {
 		perRegionJobs[best] = append(perRegionJobs[best], job)
 	}
 
-	out := &Result{Assignments: assignments, PerRegion: make([]*metrics.Result, len(cfg.Regions))}
 	for i, tr := range cfg.Regions {
 		sub, err := workload.NewTrace(fmt.Sprintf("%s@%s", trace.Name, tr.Region()), perRegionJobs[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		res, err := core.Run(core.Config{
-			Policy:    cfg.Policy,
-			Carbon:    tr,
-			ShortMax:  cfg.ShortMax,
-			WaitShort: cfg.WaitShort,
-			WaitLong:  cfg.WaitLong,
-			Horizon:   cfg.Horizon,
-		}, sub)
-		if err != nil {
-			return nil, err
-		}
-		out.PerRegion[i] = res
+		regionJobs = append(regionJobs, sub)
 	}
-	return out, nil
+	return assignments, regionJobs, nil
 }
 
 // decisionCarbon forecasts the carbon of executing the decision, using

@@ -78,8 +78,6 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheLabelsStayPerRequester: two configs differing only in Label
-// share a cache cell yet keep their own labels.
 // TestCacheDegenerateWrap: a config wrapped in the degenerate elastic
 // contract is cacheable under its own key. Its cached result equals a
 // fresh run, a second wrap of the same trace hits the same entry, and a
@@ -117,6 +115,8 @@ func TestCacheDegenerateWrap(t *testing.T) {
 	}
 }
 
+// TestCacheLabelsStayPerRequester: two configs differing only in Label
+// share a cache cell yet keep their own labels.
 func TestCacheLabelsStayPerRequester(t *testing.T) {
 	cfg, jobs := fixture(t)
 	c := New()
