@@ -42,10 +42,10 @@ bench:
 # regressions against BENCH_BASELINE, the previous PR's snapshot (only
 # benchmarks present in both are compared, so new benchmarks simply
 # start their history in the new snapshot).
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_LABEL ?= pr10
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_PATTERN = SchedulerThroughput|MillionJobRun|DirectRun|PolicyDecide|WaitAwhilePlan|CarbonIntegral|SuiteColdVsWarm|Fingerprint|AdviseThroughput|AdviseBatch|SimulateColdVsWarm|EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath
+BENCH_JSON ?= BENCH_PR13.json
+BENCH_LABEL ?= pr13
+BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_PATTERN = SchedulerThroughput|MillionJobRun|DirectRun|PolicyDecide|WaitAwhilePlan|CarbonIntegral|SuiteColdVsWarm|Fingerprint|AdviseThroughput|AdviseBatch|SimulateColdVsWarm|EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype
 # -count=3: gaia-bench keeps each benchmark's fastest sample, which damps
 # scheduler noise on shared machines enough for the 15% gate to be stable.
 bench-json:
@@ -68,7 +68,7 @@ bench-check:
 # the elastic degenerate differential (rigid jobs byte-identical under the
 # elastic machinery) and the resize/cancel-storm wheel-vs-heap fuzz seeds.
 bench-quick:
-	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath' -benchtime=0.1s -benchmem .
+	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype' -benchtime=0.1s -benchmem .
 	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
 		./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 

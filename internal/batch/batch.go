@@ -184,12 +184,7 @@ func (s *System) outstandingLaunches(req *request) int {
 	if req.launch < 0 {
 		return 0
 	}
-	count := 0
-	for _, n := range s.mgr.Nodes() {
-		if n.State == cluster.Provisioning && n.Option == req.launch {
-			count++
-		}
-	}
+	count := s.mgr.Provisioning(req.launch)
 	// Subtract claims of requests ahead of this one in the queue.
 	for _, other := range s.pending {
 		if other == req {

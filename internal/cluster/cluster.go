@@ -8,6 +8,7 @@
 package cluster
 
 import (
+	"container/heap"
 	"fmt"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -48,7 +49,10 @@ func (s NodeState) String() string {
 type Node struct {
 	ID     int
 	Option cloud.Option
-	State  NodeState
+	// State is read-only outside Manager: the manager's idle heaps and
+	// provisioning counters are kept in step with every transition it
+	// makes, so a state written from elsewhere would desynchronize them.
+	State NodeState
 	// LaunchedAt is when the launch request was issued (billing starts
 	// here — the paper accounts the entire instance time).
 	LaunchedAt simtime.Time
@@ -118,11 +122,19 @@ func (c Config) withDefaults() Config {
 // engine's goroutine (the whole simulation is single-threaded and
 // deterministic).
 type Manager struct {
-	cfg     Config
-	nodes   []*Node
-	evict   *cloud.EvictionModel
-	nextID  int
-	onReady func()
+	cfg   Config
+	nodes []*Node
+	// idle holds, per purchase option, a min-heap by node ID of the nodes
+	// that became idle. Entries are dropped lazily: one whose node has
+	// since terminated is discarded when it reaches the top. A node only
+	// becomes busy by being popped in Acquire, so no node is ever queued
+	// twice.
+	idle map[cloud.Option]*nodeHeap
+	// provisioning counts the booting nodes per purchase option.
+	provisioning map[cloud.Option]int
+	evict        *cloud.EvictionModel
+	nextID       int
+	onReady      func()
 	// onInterrupt notifies the batch layer that a busy spot node died;
 	// the occupying allocation is already released.
 	onInterrupt func(node *Node)
@@ -152,11 +164,15 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{cfg: cfg, evict: evict, occupants: make(map[int]func(*Node))}
+	m := &Manager{
+		cfg: cfg, evict: evict, occupants: make(map[int]func(*Node)),
+		idle: make(map[cloud.Option]*nodeHeap), provisioning: make(map[cloud.Option]int),
+	}
 	for i := 0; i < cfg.ReservedNodes; i++ {
 		n := &Node{ID: m.nextID, Option: cloud.Reserved, State: Idle}
 		m.nextID++
 		m.nodes = append(m.nodes, n)
+		m.pushIdle(n)
 	}
 	return m, nil
 }
@@ -179,23 +195,34 @@ func (m *Manager) CountByState(s NodeState) int {
 	return n
 }
 
-// idleNode returns an idle node of the given option, or nil.
-func (m *Manager) idleNode(opt cloud.Option) *Node {
-	for _, nd := range m.nodes {
-		if nd.State == Idle && nd.Option == opt {
-			return nd
-		}
+// Provisioning returns how many nodes of the option are still booting.
+func (m *Manager) Provisioning(opt cloud.Option) int { return m.provisioning[opt] }
+
+// pushIdle queues a node that just became idle for Acquire.
+func (m *Manager) pushIdle(n *Node) {
+	h := m.idle[n.Option]
+	if h == nil {
+		h = new(nodeHeap)
+		m.idle[n.Option] = h
 	}
-	return nil
+	heap.Push(h, n)
 }
 
-// Acquire claims one idle node, preferring the options in order. It
-// returns nil when no idle node of any listed option exists.
+// Acquire claims one idle node, preferring the options in order; within
+// an option it takes the idle node launched first (lowest ID). It returns
+// nil when no idle node of any listed option exists.
 func (m *Manager) Acquire(prefs ...cloud.Option) *Node {
 	for _, opt := range prefs {
-		if nd := m.idleNode(opt); nd != nil {
-			nd.State = Busy
-			return nd
+		h := m.idle[opt]
+		if h == nil {
+			continue
+		}
+		for h.Len() > 0 {
+			nd := heap.Pop(h).(*Node)
+			if nd.State == Idle {
+				nd.State = Busy
+				return nd
+			}
 		}
 	}
 	return nil
@@ -218,12 +245,15 @@ func (m *Manager) Launch(opt cloud.Option) *Node {
 	}
 	m.nextID++
 	m.nodes = append(m.nodes, n)
+	m.provisioning[opt]++
 	m.cfg.Engine.Schedule(n.ReadyAt, sim.PriorityFinish, func() {
 		if n.State != Provisioning {
 			return
 		}
+		m.provisioning[opt]--
 		n.State = Idle
 		n.idleSince = m.cfg.Engine.Now()
+		m.pushIdle(n)
 		m.scheduleIdleCheck(n)
 		if m.onReady != nil {
 			m.onReady()
@@ -278,6 +308,7 @@ func (m *Manager) ReleaseNode(n *Node) {
 	delete(m.occupants, n.ID)
 	n.State = Idle
 	n.idleSince = m.cfg.Engine.Now()
+	m.pushIdle(n)
 	m.scheduleIdleCheck(n)
 }
 
@@ -297,6 +328,9 @@ func (m *Manager) scheduleIdleCheck(n *Node) {
 }
 
 func (m *Manager) terminate(n *Node) {
+	if n.State == Provisioning {
+		m.provisioning[n.Option]--
+	}
 	n.State = Terminated
 	n.TerminatedAt = m.cfg.Engine.Now()
 }
@@ -335,4 +369,19 @@ func (m *Manager) Bill(horizon simtime.Duration) (cost, carbonG float64) {
 		carbonG += m.cfg.Power.Carbon(m.cfg.Carbon.Integral(iv), 1)
 	}
 	return cost, carbonG
+}
+
+// nodeHeap orders nodes by ID, i.e. by launch order (container/heap).
+type nodeHeap []*Node
+
+func (h nodeHeap) Len() int           { return len(h) }
+func (h nodeHeap) Less(i, j int) bool { return h[i].ID < h[j].ID }
+func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(*Node)) }
+func (h *nodeHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return n
 }

@@ -283,30 +283,26 @@ func (et *ElasticTrace) derive() error {
 	return nil
 }
 
-// topoOrder runs Kahn's algorithm over the DAG members; a cycle is
-// reported with a job that lies on it.
+// topoOrder runs Kahn's algorithm over the DAG members, always taking the
+// smallest ready ID next so the order is canonical; a cycle is reported
+// with a job that lies on it.
 func (et *ElasticTrace) topoOrder() ([]int32, error) {
 	n := len(et.Jobs.Jobs)
 	indeg := append([]int32(nil), et.predCount...)
-	queue := make([]int32, 0, n)
+	var ready minHeap32
 	for i := 0; i < n; i++ {
 		if et.onDAG[i] && indeg[i] == 0 {
-			queue = append(queue, int32(i))
+			ready.push(int32(i))
 		}
 	}
 	topo := make([]int32, 0, n)
-	for len(queue) > 0 {
-		// Pop the smallest ID for a canonical order (queue is kept sorted
-		// by construction: seeds ascend and successors are pushed in
-		// ascending order, then re-sorted below).
-		sort.Slice(queue, func(a, b int) bool { return queue[a] < queue[b] })
-		v := queue[0]
-		queue = queue[1:]
+	for len(ready) > 0 {
+		v := ready.pop()
 		topo = append(topo, v)
 		for _, s := range et.succs[v] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				ready.push(s)
 			}
 		}
 	}
@@ -319,6 +315,47 @@ func (et *ElasticTrace) topoOrder() ([]int32, error) {
 		}
 	}
 	return topo, nil
+}
+
+// minHeap32 is a binary min-heap of job indices (container/heap would box
+// every pushed index in an interface value, one allocation per DAG job).
+type minHeap32 []int32
+
+func (h *minHeap32) push(v int32) {
+	a := append(*h, v)
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] <= a[i] {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+	*h = a
+}
+
+func (h *minHeap32) pop() int32 {
+	a := *h
+	v := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && a[c+1] < a[c] {
+			c++
+		}
+		if a[i] <= a[c] {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*h = a
+	return v
 }
 
 // cycleVertex walks backwards from a vertex left unprocessed by Kahn's
