@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"encoding/hex"
 	"math/rand"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
+	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -56,11 +59,40 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		"override for queue out of range": {Policy: policy.CarbonTime{}, Carbon: tr,
 			AvgLengthOverride: map[workload.Queue]simtime.Duration{7: simtime.Hour}},
 	}
+	// Equal keys must also mean equal results: each equivalent config's
+	// encoded accumulator must match the base's byte for byte, or a cache
+	// hit would serve a result the config does not produce.
+	wantAcc := runAccumulatorBytes(t, base, jobs)
 	for name, cfg := range equivalents {
 		if got := mustFingerprint(t, cfg, jobs); got != want {
 			t.Errorf("%s: fingerprint differs from base", name)
 		}
+		if !bytes.Equal(runAccumulatorBytes(t, cfg, jobs), wantAcc) {
+			t.Errorf("%s: same fingerprint as base but a different result", name)
+		}
 	}
+}
+
+// runAccumulatorBytes runs cfg and returns its encoded accumulator, the
+// bytes the result cache stores.
+func runAccumulatorBytes(t *testing.T, cfg Config, jobs *workload.Trace) []byte {
+	t.Helper()
+	res, err := Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metrics.EncodeAccumulator(res.Accumulator())
+}
+
+// decidePlanBytes decides cfg and returns its encoded plan, the bytes the
+// plan cache stores.
+func decidePlanBytes(t *testing.T, cfg Config, jobs *workload.Trace) []byte {
+	t.Helper()
+	plan, err := DecidePlan(context.Background(), cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return EncodeDecisionPlan(plan)
 }
 
 // TestFingerprintOverrideOrderInsensitive permutes map insertion order —
@@ -213,9 +245,14 @@ func TestDecisionFingerprintEquivalence(t *testing.T) {
 		"override for queue out of range": {Policy: policy.CarbonTime{}, Carbon: tr,
 			AvgLengthOverride: map[workload.Queue]simtime.Duration{7: simtime.Hour}},
 	}
+	// Equal keys must also mean equal plans, byte for byte.
+	wantPlan := decidePlanBytes(t, base, jobs)
 	for name, cfg := range equivalents {
 		if got := mustDecisionFingerprint(t, cfg, jobs); got != want {
 			t.Errorf("%s: decision fingerprint differs from base", name)
+		}
+		if !bytes.Equal(decidePlanBytes(t, cfg, jobs), wantPlan) {
+			t.Errorf("%s: same decision fingerprint as base but a different plan", name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,28 @@ func TestBlobStoreDiskSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestBlobStorePutWritesThroughOnInsert pins that only the Put that
+// inserts an entry writes it to disk: entries are content-addressed and
+// immutable, so a repeated Put of a resident entry has nothing to add.
+func TestBlobStorePutWritesThroughOnInsert(t *testing.T) {
+	dir := t.TempDir()
+	blob := testBlob(t, 4)
+	s := NewBlobStore(0)
+	s.Logf = t.Logf
+	if err := s.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(key(5), blob)
+	path := s.dir.Path(key(5), blobSuffix)
+	if err := os.Remove(path); err != nil {
+		t.Fatalf("insert did not write through: %v", err)
+	}
+	s.Put(key(5), blob)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("repeated Put rewrote the entry (stat err %v)", err)
+	}
+}
+
 func TestBlobStoreDiskCorruptionIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	blob := testBlob(t, 4)
@@ -97,8 +120,10 @@ func TestBlobStoreDiskCorruptionIsAMiss(t *testing.T) {
 	if err := s.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	s.storeDisk(dir, key(9), append(append([]byte(nil), blob...), 0xFF)) // trailing garbage
-	if got := s.loadDisk(dir, key(9)); got != nil {
+	if err := s.dir.Write(key(9), blobSuffix, append(append([]byte(nil), blob...), 0xFF)); err != nil { // trailing garbage
+		t.Fatal(err)
+	}
+	if got := s.loadDisk(s.dir, key(9)); got != nil {
 		t.Fatal("corrupt disk entry served")
 	}
 	if !logged {

@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"encoding/hex"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"github.com/carbonsched/gaia/internal/blobdir"
 	"github.com/carbonsched/gaia/internal/metrics"
 )
 
@@ -36,7 +34,7 @@ type BlobStore struct {
 	order    [][32]byte // insertion order, for FIFO eviction
 	curBytes int64
 	maxBytes int64
-	dir      string
+	dir      *blobdir.Dir // nil = memory only
 
 	hits, misses, puts, evictions int64
 }
@@ -57,11 +55,12 @@ func NewBlobStore(maxBytes int64) *BlobStore {
 // SetDir attaches a write-through disk directory, creating it if needed.
 // Entries evicted from memory remain readable from disk.
 func (s *BlobStore) SetDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, err := blobdir.Open(dir)
+	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	s.mu.Lock()
-	s.dir = dir
+	s.dir = d
 	s.mu.Unlock()
 	return nil
 }
@@ -71,33 +70,32 @@ func (s *BlobStore) SetDir(dir string) error {
 func (s *BlobStore) Get(fp [32]byte) []byte {
 	s.mu.Lock()
 	b, ok := s.m[fp]
-	dir := s.dir
 	if ok {
 		s.hits++
 	}
+	dir := s.dir
 	s.mu.Unlock()
 	if ok {
 		return b
 	}
-	if dir != "" {
-		if b := s.loadDisk(dir, fp); b != nil {
-			s.mu.Lock()
-			s.hits++
-			s.mu.Unlock()
-			return b
-		}
-	}
+	b = s.loadDisk(dir, fp)
 	s.mu.Lock()
-	s.misses++
+	if b != nil {
+		s.hits++
+	} else {
+		s.misses++
+	}
 	s.mu.Unlock()
-	return nil
+	return b
 }
 
 // Put stores blob under fp, evicting the oldest entries if the byte
-// budget is exceeded. The caller must not modify blob afterwards.
+// budget is exceeded, and writes a newly inserted entry through to disk.
+// The caller must not modify blob afterwards.
 func (s *BlobStore) Put(fp [32]byte, blob []byte) {
 	s.mu.Lock()
-	if _, exists := s.m[fp]; !exists {
+	_, exists := s.m[fp]
+	if !exists {
 		s.m[fp] = blob
 		s.order = append(s.order, fp)
 		s.curBytes += int64(len(blob))
@@ -114,8 +112,10 @@ func (s *BlobStore) Put(fp [32]byte, blob []byte) {
 	}
 	dir := s.dir
 	s.mu.Unlock()
-	if dir != "" {
-		s.storeDisk(dir, fp, blob)
+	if !exists {
+		if err := dir.Write(fp, blobSuffix, blob); err != nil {
+			s.Logf("fleet: writing %s: %v", dir.Path(fp, blobSuffix), err)
+		}
 	}
 }
 
@@ -143,54 +143,22 @@ type StoreStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// blobPath names a disk entry. The metrics codec version is spelled out in
-// the file name so entries written by an incompatible binary never match,
-// mirroring runcache's disk-store convention.
-func blobPath(dir string, fp [32]byte) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.c%d.gblob", hex.EncodeToString(fp[:]), metrics.CodecVersion))
-}
+// blobSuffix names disk entries. The metrics codec version is spelled
+// out in the file name so entries written by an incompatible binary never
+// match, mirroring runcache's disk-store convention.
+var blobSuffix = fmt.Sprintf(".c%d.gblob", metrics.CodecVersion)
 
 // loadDisk fetches a disk entry, re-validating it against the codec —
 // a blob that no longer decodes (torn write, bit rot) is dropped here
 // rather than shipped to a peer. Absent files are silent.
-func (s *BlobStore) loadDisk(dir string, fp [32]byte) []byte {
-	path := blobPath(dir, fp)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.Logf("fleet: reading %s: %v (treating as miss)", path, err)
-		}
-		return nil
+func (s *BlobStore) loadDisk(dir *blobdir.Dir, fp [32]byte) []byte {
+	data, err := dir.Read(fp, blobSuffix)
+	if err == nil && data != nil {
+		_, err = metrics.DecodeAccumulator(data)
 	}
-	if _, err := metrics.DecodeAccumulator(data); err != nil {
-		s.Logf("fleet: decoding %s: %v (treating as miss)", path, err)
+	if err != nil {
+		s.Logf("fleet: %s: %v (treating as miss)", dir.Path(fp, blobSuffix), err)
 		return nil
 	}
 	return data
-}
-
-// storeDisk persists a blob atomically (temp file + rename), logging and
-// otherwise ignoring failures — the disk tier is an accelerator.
-func (s *BlobStore) storeDisk(dir string, fp [32]byte, blob []byte) {
-	path := blobPath(dir, fp)
-	if _, err := os.Stat(path); err == nil {
-		return // already present; entries are content-addressed and immutable
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		s.Logf("fleet: creating temp entry in %s: %v", dir, err)
-		return
-	}
-	if _, err := tmp.Write(blob); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		s.Logf("fleet: writing %s: %v", path, err)
-	}
 }

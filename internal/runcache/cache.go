@@ -5,8 +5,9 @@
 // workload-trace hashes), and duplicate cells — the same (policy, region,
 // workload, reserved, ...) appearing in several figures — block on the one
 // in-flight computation instead of re-running it. Tier 2 is an optional
-// on-disk store of encoded accumulators (internal/metrics codec), so a
-// warm re-run of the whole figure suite skips simulation entirely.
+// on-disk store of encoded accumulators (internal/metrics codec) in an
+// internal/blobdir directory, so a warm re-run of the whole figure suite
+// skips simulation entirely.
 //
 // Correctness contract: a cached cell is indistinguishable from a
 // recomputed one. The cache stores only the immutable streaming
@@ -21,13 +22,11 @@ package runcache
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"github.com/carbonsched/gaia/internal/blobdir"
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -104,15 +103,6 @@ func (o Outcome) AvoidedDecide() bool {
 	return o.Avoided() || o == PlanHit || o == PlanDiskHit
 }
 
-// entry is one cell's single-flight slot. The leader (whoever inserted
-// it) closes done after setting acc or err; the channel close publishes
-// both to waiters.
-type entry struct {
-	done chan struct{}
-	acc  *metrics.Accumulator
-	err  error
-}
-
 // Cache deduplicates simulation runs by content fingerprint. The zero
 // value is not ready; use New.
 type Cache struct {
@@ -121,29 +111,29 @@ type Cache struct {
 	// first use. Never called on the happy path.
 	Logf func(format string, args ...any)
 
-	mu      sync.Mutex
-	entries map[[32]byte]*entry
-	plans   map[[32]byte]*planEntry // keyed by DecisionFingerprint
-	dir     string                  // "" = in-memory tier only
-	remote  RemoteStore             // nil = no shared fleet tier
+	results flights[*metrics.Accumulator]
+	plans   flights[*core.DecisionPlan] // keyed by DecisionFingerprint
+
+	mu     sync.Mutex   // guards dir and remote
+	dir    *blobdir.Dir // nil = in-memory tiers only
+	remote RemoteStore  // nil = no shared fleet tier
 }
 
 // New returns an empty in-memory cache. Call SetDir to add the disk tier.
 func New() *Cache {
-	return &Cache{
-		Logf:    log.Printf,
-		entries: make(map[[32]byte]*entry),
-		plans:   make(map[[32]byte]*planEntry),
-	}
+	return &Cache{Logf: log.Printf}
 }
 
 // SetDir attaches the on-disk store rooted at dir, creating it if needed.
+// Results and decision plans share the one directory under their own
+// file-name suffixes.
 func (c *Cache) SetDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, err := blobdir.Open(dir)
+	if err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
 	c.mu.Lock()
-	c.dir = dir
+	c.dir = d
 	c.mu.Unlock()
 	return nil
 }
@@ -161,11 +151,13 @@ func (c *Cache) Run(cfg core.Config, jobs *workload.Trace) (*metrics.Result, Out
 // single-flight leader passes ctx down to core.RunContext, so cancellation
 // actually stops the event loop; a caller that joins an in-flight
 // computation stops waiting when its own ctx is done, while the leader's
-// computation keeps running for the remaining waiters. A canceled leader's
-// error is shared with its waiters but — like every error — never cached,
-// so the next request for the cell simply recomputes it. Serving layers
-// that coalesce requests should therefore cancel the leader's ctx only
-// when no requester remains interested (see internal/serve).
+// computation keeps running for the remaining waiters. A canceled
+// leader's error is returned to the leader alone and never cached: a
+// waiter whose own ctx is still live takes over as the new leader and
+// computes the cell itself (flights.do, in both the result and the plan
+// tier). Serving layers that coalesce requests should still cancel the
+// leader's ctx only when no requester remains interested (see
+// internal/serve), since a takeover restarts the computation.
 func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.Trace) (*metrics.Result, Outcome, error) {
 	fp, ok := cfg.Fingerprint(jobs)
 	if !ok {
@@ -174,69 +166,50 @@ func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.
 	}
 	canon := cfg.Canonical()
 
-	c.mu.Lock()
-	if e, exists := c.entries[fp]; exists {
-		// Completed entry → Hit; still in flight → Dedup. The split is
-		// informational only, so the non-blocking probe racing a close
-		// is harmless.
-		outcome := Dedup
-		select {
-		case <-e.done:
-			outcome = Hit
-		default:
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, outcome, ctx.Err()
-		}
-		if e.err != nil {
-			// The leader failed and removed the entry; the error is
-			// deterministic for these inputs, so share it.
-			return nil, outcome, e.err
-		}
-		return buildResult(canon, jobs, e.acc), outcome, nil
-	}
-	e := &entry{done: make(chan struct{})}
-	c.entries[fp] = e
-	dir := c.dir
-	remote := c.remote
-	c.mu.Unlock()
-
 	// Tier order for the single-flight leader: disk (local, trusted) →
 	// remote fleet tier (another replica computed it) → compute. A remote
 	// hit also warms the local disk tier; a computed cell is offered to
 	// both, so the cell's ring owner ends up holding it for the fleet.
-	// Computation itself consults one more tier: the decision-plan cache
-	// (plan.go), which lets a cell whose decide phase matches an earlier
-	// cell replay accounting over the shared plan (PlanHit/PlanDiskHit).
+	// Both get the same encoded blob. Computation itself consults one
+	// more tier: the decision-plan cache (plan.go), which lets a cell
+	// whose decide phase matches an earlier cell replay accounting over
+	// the shared plan (PlanHit/PlanDiskHit).
 	outcome := Computed
-	acc := c.loadDisk(dir, fp)
-	if acc != nil {
-		outcome = DiskHit
-	} else if acc = c.loadRemote(ctx, remote, fp); acc != nil {
-		outcome = RemoteHit
-		c.storeDisk(dir, fp, acc)
-	} else {
-		res, served, err := c.computePlanned(ctx, canon, jobs)
-		if err != nil {
-			c.mu.Lock()
-			delete(c.entries, fp)
-			c.mu.Unlock()
-			e.err = err
-			close(e.done)
-			return nil, served, err
+	acc, how, err := c.results.do(ctx, fp, func() (*metrics.Accumulator, error) {
+		c.mu.Lock()
+		dir, remote := c.dir, c.remote
+		c.mu.Unlock()
+		if acc := loadDisk(c, dir, fp, accSuffix, metrics.DecodeAccumulator, "recomputing"); acc != nil {
+			outcome = DiskHit
+			return acc, nil
 		}
+		if acc, blob := c.loadRemote(ctx, remote, fp); acc != nil {
+			outcome = RemoteHit
+			c.storeDisk(dir, fp, accSuffix, blob)
+			return acc, nil
+		}
+		res, served, err := c.computePlanned(ctx, dir, canon, jobs)
 		outcome = served
-		acc = res.Accumulator()
-		c.storeDisk(dir, fp, acc)
-		if remote != nil {
-			c.storeRemote(ctx, remote, fp, metrics.EncodeAccumulator(acc))
+		if err != nil {
+			return nil, err
 		}
+		acc := res.Accumulator()
+		if dir != nil || remote != nil {
+			blob := metrics.EncodeAccumulator(acc)
+			c.storeDisk(dir, fp, accSuffix, blob)
+			c.storeRemote(ctx, remote, fp, blob)
+		}
+		return acc, nil
+	})
+	switch how {
+	case inFlight:
+		outcome = Dedup
+	case complete:
+		outcome = Hit
 	}
-	e.acc = acc
-	close(e.done)
+	if err != nil {
+		return nil, outcome, err
+	}
 	return buildResult(canon, jobs, acc), outcome, nil
 }
 
@@ -259,62 +232,34 @@ func buildResult(canon core.Config, jobs *workload.Trace, acc *metrics.Accumulat
 	return res
 }
 
-// entryPath names a disk entry. The fingerprint layout version is already
-// folded into fp; the codec and store versions are spelled out in the file
-// name, so entries written by an incompatible binary simply never match.
-func entryPath(dir string, fp [32]byte) string {
-	name := fmt.Sprintf("%s.c%d.s%d.gacc", hex.EncodeToString(fp[:]), metrics.CodecVersion, StoreVersion)
-	return filepath.Join(dir, name)
+// accSuffix names result entries in the store. The fingerprint layout
+// version is already folded into the key; the codec and store versions
+// are spelled out in the name, so entries written by an incompatible
+// binary simply never match.
+var accSuffix = fmt.Sprintf(".c%d.s%d.gacc", metrics.CodecVersion, StoreVersion)
+
+// loadDisk reads and decodes one store entry, returning nil on any miss
+// or problem. Absent files are silent; anything else is logged, naming
+// the fallback the caller takes instead.
+func loadDisk[T any](c *Cache, dir *blobdir.Dir, key [32]byte, suffix string, decode func([]byte) (*T, error), fallback string) *T {
+	data, err := dir.Read(key, suffix)
+	if err == nil && data != nil {
+		var v *T
+		if v, err = decode(data); err == nil {
+			return v
+		}
+	}
+	if err != nil {
+		c.Logf("runcache: %s: %v (%s)", dir.Path(key, suffix), err, fallback)
+	}
+	return nil
 }
 
-// loadDisk fetches and decodes a disk entry, returning nil on any miss or
-// problem. Absent files are silent; anything else is logged.
-func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
-	if dir == "" {
-		return nil
-	}
-	path := entryPath(dir, fp)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.Logf("runcache: reading %s: %v (recomputing)", path, err)
-		}
-		return nil
-	}
-	acc, err := metrics.DecodeAccumulator(data)
-	if err != nil {
-		c.Logf("runcache: decoding %s: %v (recomputing)", path, err)
-		return nil
-	}
-	return acc
-}
-
-// storeDisk persists an accumulator, atomically: the entry is written to
-// a temp file in the same directory and renamed into place, so concurrent
-// readers (a cold and a warm suite sharing one cache dir) only ever see
-// complete entries. Failures are logged and otherwise ignored — the store
-// is an accelerator, not a system of record.
-func (c *Cache) storeDisk(dir string, fp [32]byte, acc *metrics.Accumulator) {
-	if dir == "" {
-		return
-	}
-	path := entryPath(dir, fp)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		c.Logf("runcache: creating temp entry in %s: %v", dir, err)
-		return
-	}
-	data := metrics.EncodeAccumulator(acc)
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		c.Logf("runcache: writing %s: %v", path, err)
+// storeDisk publishes one encoded entry to the store. Failures are logged
+// and otherwise ignored — the store is an accelerator, not a system of
+// record.
+func (c *Cache) storeDisk(dir *blobdir.Dir, key [32]byte, suffix string, data []byte) {
+	if err := dir.Write(key, suffix, data); err != nil {
+		c.Logf("runcache: writing %s: %v", dir.Path(key, suffix), err)
 	}
 }

@@ -184,13 +184,6 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 		Seed:           req.Seed,
 	}
 	res, outcome, err := s.cache.RunContext(ctx, cfg, jobsTr)
-	if err != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
-		// Lost a race with a dying flight: another request's canceled
-		// leader shared its error through the runcache entry before the
-		// entry was retired. Our own context is live, so retry once —
-		// the entry is gone and this call becomes the new leader.
-		res, outcome, err = s.cache.RunContext(ctx, cfg, jobsTr)
-	}
 	if err != nil {
 		return nil, err
 	}
