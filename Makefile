@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick load-smoke figures figures-full examples serve clean
+.PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick load-smoke figures figures-pin figures-full examples serve clean
 
-all: build lint test race bench-check
+all: build lint test race figures-pin bench-check
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,13 @@ load-smoke:
 # Regenerate the evaluation tables (quick scale; figures-full = paper scale).
 figures:
 	$(GO) run ./cmd/gaia-exp -all -outdir results-quick
+
+# Figure byte-identity gate: every quick-scale figure's sha256 must match
+# the digests pinned in perfbench/figures.go. A refactor that moves any
+# figure byte fails here; re-pin (go run . -pin-figures > figures.go in
+# perfbench/) only for an intended change of figure output.
+figures-pin:
+	cd perfbench && $(GO) run . -pin-figures | diff -w - figures.go
 
 figures-full:
 	$(GO) run ./cmd/gaia-exp -all -full -outdir results

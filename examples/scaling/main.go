@@ -14,6 +14,7 @@ import (
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/viz"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 		Arrival:     0,
 		Work:        16, // serial CPU-hours
 		MaxParallel: 8,
-		Curve:       scaling.Amdahl{Parallel: 0.9},
+		Curve:       workload.AmdahlCurve(0.9, 8),
 		Deadline:    60 * simtime.Hour,
 	}
 

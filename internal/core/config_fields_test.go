@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -30,9 +32,11 @@ const (
 
 // TestConfigFieldAudit classifies every Config field by how it reaches
 // the cache keys and checks the class behaviourally: the change must move
-// exactly the hashes its class says. A new field fails the audit until it
-// is listed here — the reminder to decide whether Fingerprint must hash
-// it (and bump fingerprintLayout), or whether it must spoil caching.
+// exactly the hashes its class says, and a key it leaves unchanged must
+// keep the bytes cached under it unchanged too. A new field fails the
+// audit until it is listed here — the reminder to decide whether
+// Fingerprint must hash it (and bump fingerprintLayout), or whether it
+// must spoil caching.
 func TestConfigFieldAudit(t *testing.T) {
 	tr, jobs := fpFixture(t)
 	tr2 := carbon.RegionSAAU.Generate(24*10, 2)
@@ -93,6 +97,28 @@ func TestConfigFieldAudit(t *testing.T) {
 			t.Errorf("Config.%s is not classified: add it to TestConfigFieldAudit", typ.Field(i).Name)
 		}
 	}
+	// Structurally, a hashed field sits in exactly one key segment, decide
+	// exactly when its class is hashedDecision; other fields sit in none.
+	segments := map[string][]bool{}
+	for _, seg := range keySegments {
+		for _, name := range strings.Fields(seg.fields) {
+			if _, ok := fields[name]; !ok {
+				t.Errorf("a key segment names %s, which the audit does not list", name)
+			}
+			segments[name] = append(segments[name], seg.decide)
+		}
+	}
+	for name, f := range fields {
+		hashed := f.class == hashedSim || f.class == hashedDecision
+		switch segs := segments[name]; {
+		case !hashed && len(segs) > 0:
+			t.Errorf("%s: class %d but hashed by a key segment", name, f.class)
+		case hashed && len(segs) != 1:
+			t.Errorf("%s: hashed by %d key segments, want 1", name, len(segs))
+		case hashed && segs[0] != (f.class == hashedDecision):
+			t.Errorf("%s: key segment decide=%v contradicts class %d", name, segs[0], f.class)
+		}
+	}
 	for name, f := range fields {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("audit lists %s, which Config no longer has", name)
@@ -135,6 +161,15 @@ func TestConfigFieldAudit(t *testing.T) {
 			if !dok0 || !dok1 || dfp0 == dfp1 {
 				t.Errorf("%s: must change the decision fingerprint", name)
 			}
+		}
+
+		// Whatever the class, the bytes a cache stores may change only
+		// where its key does, or a hit would serve a wrong result.
+		if ok && fp1 == fp0 && !bytes.Equal(runAccumulatorBytes(t, before, jobs), runAccumulatorBytes(t, after, jobs)) {
+			t.Errorf("%s: same fingerprint but a different result", name)
+		}
+		if dok0 && dok1 && dfp0 == dfp1 && !bytes.Equal(decidePlanBytes(t, before, jobs), decidePlanBytes(t, after, jobs)) {
+			t.Errorf("%s: same decision fingerprint but a different plan", name)
 		}
 	}
 }

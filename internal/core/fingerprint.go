@@ -43,142 +43,34 @@ func (c Config) Canonical() Config { return c.withDefaults() }
 //     are ignored by the scheduler and must not perturb the key.
 //
 // Carbon and workload content enter through the traces' memoized
-// fingerprints, so hashing a config is cheap enough to do per cell.
+// fingerprints, so hashing a config is cheap enough to do per cell. The
+// hashed inputs are the keySegments table below, every segment in order.
 func (c Config) Fingerprint(jobs *workload.Trace) (fp [32]byte, ok bool) {
-	canon := c.withDefaults()
-	if canon.Policy == nil || canon.Carbon == nil || jobs == nil {
-		return fp, false
-	}
-	if canon.RetainJobs || canon.Mechanism != Auto {
+	k, ok := c.keyPrelude(jobs)
+	if !ok || k.RetainJobs || k.Mechanism != Auto {
 		// Retained records are not cached; a pinned mechanism must really
 		// run, or a differential would compare another mechanism's entry.
 		return fp, false
 	}
-	ptag, pparam, ok := policyIdentity(canon.Policy)
-	if !ok {
-		return fp, false
-	}
-	perfect, ok := canon.CIS.(*carbon.PerfectService)
-	if !ok {
-		return fp, false
-	}
-	var atag int
-	var aparams [2]float64
-	if canon.Elastic != nil {
+	if k.Elastic != nil {
 		// The allocator chooses replica grants, so its identity is part of
 		// the outcome; unknown implementations may carry hidden state the
 		// hash cannot see and spoil cacheability like unknown policies do.
-		atag, aparams, ok = allocatorIdentity(canon.Allocator)
-		if !ok {
+		if k.atag, k.aparams, ok = allocatorIdentity(k.Allocator); !ok {
 			return fp, false
 		}
 	}
-
-	if canon.SpotMaxLen == 0 {
-		canon.EvictionRate = 0
-		canon.CheckpointInterval = 0
-		canon.CheckpointOverhead = 0
-		canon.Seed = 0
+	if k.SpotMaxLen == 0 {
+		k.EvictionRate = 0
+		k.CheckpointInterval = 0
+		k.CheckpointOverhead = 0
+		k.Seed = 0
 	}
-	if canon.EvictionRate == 0 {
-		canon.Seed = 0
+	if k.EvictionRate == 0 {
+		k.Seed = 0
 	}
-
-	h := sha256.New()
-	var buf [8]byte
-	le := binary.LittleEndian
-	u64 := func(v uint64) {
-		le.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	u64(fingerprintLayout)
-	u64(uint64(ptag))
-	f64(pparam)
-	cfp := canon.Carbon.Fingerprint()
-	h.Write(cfp[:])
-	sfp := perfect.Trace().Fingerprint()
-	h.Write(sfp[:])
-	u64(uint64(canon.Reserved))
-	if canon.WorkConserving {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	u64(uint64(canon.SpotMaxLen))
-	f64(canon.EvictionRate)
-	u64(uint64(canon.CheckpointInterval))
-	u64(uint64(canon.CheckpointOverhead))
-	f64(canon.Pricing.OnDemandHourly)
-	f64(canon.Pricing.ReservedFraction)
-	f64(canon.Pricing.SpotFraction)
-	f64(canon.Power.KWPerCPU)
-	u64(uint64(len(canon.Queues)))
-	for _, q := range canon.Queues {
-		u64(uint64(q.MaxLength))
-		u64(uint64(q.MaxWait))
-	}
-	u64(uint64(canon.Horizon))
-	keys := make([]int, 0, len(canon.AvgLengthOverride))
-	for q := range canon.AvgLengthOverride {
-		if int(q) >= 0 && int(q) < len(canon.Queues) {
-			keys = append(keys, int(q))
-		}
-	}
-	sort.Ints(keys)
-	u64(uint64(len(keys)))
-	for _, k := range keys {
-		u64(uint64(k))
-		u64(uint64(canon.AvgLengthOverride[workload.Queue(k)]))
-	}
-	u64(uint64(canon.Seed))
-	jfp := jobs.Fingerprint()
-	h.Write(jfp[:])
-	if canon.Elastic != nil {
-		// Elastic block, appended only when present: a rigid config's hash
-		// is bit-for-bit what it was before elasticity existed, so the
-		// on-disk cache stays valid without a layout bump, and the marker
-		// keeps an elastic config from ever colliding with a rigid one.
-		u64(0xE1A5)
-		efp := canon.Elastic.Fingerprint()
-		h.Write(efp[:])
-		u64(uint64(atag))
-		f64(aparams[0])
-		f64(aparams[1])
-		u64(uint64(canon.ElasticCapacity))
-	}
-
-	h.Sum(fp[:0])
-	return fp, true
+	return k.sum("", fingerprintLayout, false), true
 }
-
-// allocatorIdentity maps an elastic allocator to a stable tag plus its
-// parameters, the allocator counterpart of policyIdentity. Tags are frozen
-// — append new allocators, never renumber.
-func allocatorIdentity(a policy.ElasticAllocator) (tag int, params [2]float64, ok bool) {
-	switch a := a.(type) {
-	case policy.StaticAlloc:
-		return 1, params, true
-	case policy.GreedyMarginal:
-		thresh := a.ScaleThreshold
-		if thresh <= 0 {
-			thresh = 0.75 // Allocate's documented default
-		}
-		preempt := a.PreemptAbove
-		if preempt <= 0 {
-			preempt = 1.25 // Allocate's documented default
-		}
-		return 2, [2]float64{thresh, preempt}, true
-	default:
-		return 0, params, false
-	}
-}
-
-// fingerprintLayout versions the binary layout hashed above. Bump it
-// whenever the set or order of fields changes so stale on-disk cache
-// entries written under the old layout can never collide with new keys.
-const fingerprintLayout = 1
 
 // DecisionFingerprint returns a content hash identifying the *decide
 // phase* of running this configuration over jobs: two configurations
@@ -190,84 +82,213 @@ const fingerprintLayout = 1
 // or unrecognized policy, an opaque CIS, a pinned Mechanism) — and callers
 // must run the full path.
 //
-// The hash is a strict projection of Fingerprint onto the inputs the
-// decide phase reads: policy identity, the CIS trace (the forecasts
-// policies consult — NOT the realized Carbon trace, which only accounting
-// integrates), the queue ladder's classification bounds and wait
-// guarantees, the average-length estimates, and the workload itself.
-// Everything else is accounting replayed per cell — Reserved, prices, the
-// power model, the realized carbon trace, the horizon, retention, spot
-// knobs (forced inert by eligibility) — and is deliberately excluded, so a
-// reserved-size or carbon-tax sweep shares one plan across every cell.
+// The hash is Fingerprint's projection onto the keySegments marked
+// decide, the inputs the decide phase reads: policy identity, the CIS
+// trace (the forecasts policies consult — NOT the realized Carbon trace,
+// which only accounting integrates), the queue ladder's classification
+// bounds and wait guarantees, the average-length estimates, and the
+// workload itself. Everything else is accounting replayed per cell —
+// Reserved, prices, the power model, the realized carbon trace, the
+// horizon, retention, spot knobs (forced inert by eligibility) — and is
+// deliberately excluded, so a reserved-size or carbon-tax sweep shares one
+// plan across every cell.
 //
 // Unlike Fingerprint, RetainJobs does not spoil the hash: retention
 // changes what the replay materializes, never what the decide phase
 // chooses.
 func (c Config) DecisionFingerprint(jobs *workload.Trace) (fp [32]byte, ok bool) {
-	canon := c.withDefaults()
-	if canon.Policy == nil || canon.Carbon == nil || jobs == nil {
+	k, ok := c.keyPrelude(jobs)
+	if !ok || k.validate() != nil || !k.directEligible() {
 		return fp, false
 	}
-	if canon.validate() != nil {
-		return fp, false
-	}
-	if !canon.directEligible() {
-		return fp, false
-	}
-	ptag, pparam, ok := policyIdentity(canon.Policy)
-	if !ok {
-		return fp, false
-	}
-	// directEligible admitted the config, so the CIS is the perfect
-	// service wrapping some (possibly distinct) trace.
-	perfect := canon.CIS.(*carbon.PerfectService)
-
-	h := sha256.New()
-	var buf [8]byte
-	le := binary.LittleEndian
-	u64 := func(v uint64) {
-		le.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	// Domain separator: a decision fingerprint must never collide with a
-	// full simulation fingerprint of any configuration.
-	h.Write([]byte("gaia:decision-plan"))
-	u64(decisionFingerprintLayout)
-	u64(uint64(ptag))
-	f64(pparam)
-	sfp := perfect.Trace().Fingerprint()
-	h.Write(sfp[:])
-	u64(uint64(len(canon.Queues)))
-	for _, q := range canon.Queues {
-		u64(uint64(q.MaxLength))
-		u64(uint64(q.MaxWait))
-	}
-	keys := make([]int, 0, len(canon.AvgLengthOverride))
-	for q := range canon.AvgLengthOverride {
-		if int(q) >= 0 && int(q) < len(canon.Queues) {
-			keys = append(keys, int(q))
-		}
-	}
-	sort.Ints(keys)
-	u64(uint64(len(keys)))
-	for _, k := range keys {
-		u64(uint64(k))
-		u64(uint64(canon.AvgLengthOverride[workload.Queue(k)]))
-	}
-	jfp := jobs.Fingerprint()
-	h.Write(jfp[:])
-
-	h.Sum(fp[:0])
-	return fp, true
+	// The domain separator keeps a decision fingerprint from ever
+	// colliding with a full simulation fingerprint of any configuration.
+	return k.sum("gaia:decision-plan", decisionFingerprintLayout, true), true
 }
+
+// fingerprintLayout versions the Fingerprint hash layout. Bump it
+// whenever the set or order of hashed inputs changes so stale on-disk
+// cache entries written under the old layout can never collide with new
+// keys.
+const fingerprintLayout = 1
 
 // decisionFingerprintLayout versions the DecisionFingerprint hash layout,
 // independently of fingerprintLayout. Bump on any change to the set or
-// order of hashed fields; it also participates in the plan cache's on-disk
-// entry names so stale artifacts never match.
+// order of decide segments; it also participates in the plan cache's
+// on-disk entry names so stale artifacts never match.
 const decisionFingerprintLayout = 1
+
+// keyInputs is a canonical configuration plus the identities its cache
+// keys hash in place of opaque values.
+type keyInputs struct {
+	Config
+	jobs    *workload.Trace
+	cis     *carbon.PerfectService
+	ptag    int
+	pparam  float64
+	atag    int
+	aparams [2]float64
+}
+
+// keyPrelude is the prelude both cache keys share: the defaulted config,
+// its policy identity and its perfect CIS. ok=false means neither key
+// exists.
+func (c Config) keyPrelude(jobs *workload.Trace) (k keyInputs, ok bool) {
+	k.Config = c.withDefaults()
+	if k.Policy == nil || k.Carbon == nil || jobs == nil {
+		return k, false
+	}
+	k.jobs = jobs
+	if k.ptag, k.pparam, ok = policyIdentity(k.Policy); !ok {
+		return k, false
+	}
+	k.cis, ok = k.CIS.(*carbon.PerfectService)
+	return k, ok
+}
+
+// keySegment names one run of hashed inputs.
+type keySegment uint8
+
+const (
+	segPolicy keySegment = iota
+	segCarbon
+	segCIS
+	segAccounting
+	segQueues
+	segHorizon
+	segAvgLength
+	segSeed
+	segJobs
+	segElastic
+)
+
+// keySegments is the one table of hashed inputs, in hash order, each
+// naming the Config fields it covers. Fingerprint writes every segment;
+// DecisionFingerprint writes only the decide segments, the inputs the
+// direct path's decide phase reads. Every hashed input is written by
+// keyInputs.write and nowhere else, so the decision key is a projection of
+// the full key by construction.
+var keySegments = []struct {
+	seg    keySegment
+	fields string
+	decide bool
+}{
+	{segPolicy, "Policy", true},
+	{segCarbon, "Carbon", false},
+	{segCIS, "CIS", true},
+	{segAccounting, "Reserved WorkConserving SpotMaxLen EvictionRate CheckpointInterval CheckpointOverhead Pricing Power", false},
+	{segQueues, "Queues ShortMax WaitShort WaitLong", true},
+	{segHorizon, "Horizon", false},
+	{segAvgLength, "AvgLengthOverride", true},
+	{segSeed, "Seed", false},
+	{segJobs, "", true}, // the workload, which is not a Config field
+	{segElastic, "Elastic Allocator ElasticCapacity", false},
+}
+
+// sum hashes domain, layout and then the key segments in table order:
+// every segment, or only the decide segments when decideOnly is set.
+func (k *keyInputs) sum(domain string, layout uint64, decideOnly bool) [32]byte {
+	var arr [512]byte
+	b := u64(append(arr[:0], domain...), layout)
+	for _, s := range keySegments {
+		if s.decide || !decideOnly {
+			b = k.write(b, s.seg)
+		}
+	}
+	return sha256.Sum256(b)
+}
+
+// write appends one segment's inputs to b as fixed-width little-endian
+// values and 32-byte trace digests.
+func (k *keyInputs) write(b []byte, seg keySegment) []byte {
+	switch seg {
+	case segPolicy:
+		b = u64(b, uint64(k.ptag))
+		b = f64(b, k.pparam)
+	case segCarbon:
+		fp := k.Carbon.Fingerprint()
+		b = append(b, fp[:]...)
+	case segCIS:
+		fp := k.cis.Trace().Fingerprint()
+		b = append(b, fp[:]...)
+	case segAccounting:
+		b = u64(b, uint64(k.Reserved))
+		if k.WorkConserving {
+			b = u64(b, 1)
+		} else {
+			b = u64(b, 0)
+		}
+		b = u64(b, uint64(k.SpotMaxLen))
+		b = f64(b, k.EvictionRate)
+		b = u64(b, uint64(k.CheckpointInterval))
+		b = u64(b, uint64(k.CheckpointOverhead))
+		b = f64(b, k.Pricing.OnDemandHourly)
+		b = f64(b, k.Pricing.ReservedFraction)
+		b = f64(b, k.Pricing.SpotFraction)
+		b = f64(b, k.Power.KWPerCPU)
+	case segQueues:
+		b = u64(b, uint64(len(k.Queues)))
+		for _, q := range k.Queues {
+			b = u64(b, uint64(q.MaxLength))
+			b = u64(b, uint64(q.MaxWait))
+		}
+	case segHorizon:
+		b = u64(b, uint64(k.Horizon))
+	case segAvgLength:
+		// Sorted key order, restricted to queues in the ladder: the
+		// scheduler ignores the rest.
+		keys := make([]int, 0, len(k.AvgLengthOverride))
+		for q := range k.AvgLengthOverride {
+			if int(q) >= 0 && int(q) < len(k.Queues) {
+				keys = append(keys, int(q))
+			}
+		}
+		sort.Ints(keys)
+		b = u64(b, uint64(len(keys)))
+		for _, q := range keys {
+			b = u64(b, uint64(q))
+			b = u64(b, uint64(k.AvgLengthOverride[workload.Queue(q)]))
+		}
+	case segSeed:
+		b = u64(b, uint64(k.Seed))
+	case segJobs:
+		fp := k.jobs.Fingerprint()
+		b = append(b, fp[:]...)
+	case segElastic:
+		// Elastic block, appended only when present: a rigid config's hash
+		// is bit-for-bit what it was before elasticity existed, so the
+		// on-disk cache stays valid without a layout bump, and the marker
+		// keeps an elastic config from ever colliding with a rigid one.
+		if k.Elastic != nil {
+			fp := k.Elastic.Fingerprint()
+			b = append(u64(b, 0xE1A5), fp[:]...)
+			b = u64(b, uint64(k.atag))
+			b = f64(b, k.aparams[0])
+			b = f64(b, k.aparams[1])
+			b = u64(b, uint64(k.ElasticCapacity))
+		}
+	}
+	return b
+}
+
+// u64 and f64 append a value's fixed-width little-endian bytes.
+func u64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
+func f64(b []byte, v float64) []byte { return u64(b, math.Float64bits(v)) }
+
+// allocatorIdentity maps an elastic allocator to a stable tag plus its
+// parameters, the allocator counterpart of policyIdentity. Tags are frozen
+// — append new allocators, never renumber.
+func allocatorIdentity(a policy.ElasticAllocator) (tag int, params [2]float64, ok bool) {
+	switch a := a.(type) {
+	case policy.StaticAlloc:
+		return 1, params, true
+	case policy.GreedyMarginal:
+		thresh, preempt := a.Params()
+		return 2, [2]float64{thresh, preempt}, true
+	default:
+		return 0, params, false
+	}
+}
 
 // policyIdentity maps a policy to a stable tag plus its parameters. Only
 // policies this function knows are cacheable: an unknown implementation
@@ -290,11 +311,7 @@ func policyIdentity(p policy.Policy) (tag int, param float64, ok bool) {
 	case policy.WaitAwhileEst:
 		return 7, 0, true
 	case policy.Ecovisor:
-		pct := p.ThresholdPercentile
-		if pct <= 0 {
-			pct = 30 // Decide's documented default
-		}
-		return 8, pct, true
+		return 8, p.Percentile(), true
 	case policy.CriticalPathShift:
 		return 9, 0, true
 	default:

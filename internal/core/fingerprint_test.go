@@ -23,6 +23,27 @@ func fpFixture(t testing.TB) (*carbon.Trace, *workload.Trace) {
 	return tr, jobs
 }
 
+// elasticFPFixture wraps jobs in a non-degenerate elastic trace: every
+// third job scales on an Amdahl curve (every sixth may suspend) and every
+// fifth waits on its predecessor.
+func elasticFPFixture(jobs *workload.Trace) *workload.ElasticTrace {
+	specs := make([]workload.ElasticSpec, len(jobs.Jobs))
+	var edges []workload.Edge
+	for i := range specs {
+		specs[i] = workload.DegenerateSpec()
+		if i%3 == 0 {
+			specs[i] = workload.ElasticSpec{MinReplicas: 1, MaxReplicas: 4, Curve: workload.AmdahlCurve(0.9, 4)}
+			if i%6 == 0 {
+				specs[i].MinReplicas = 0
+			}
+		}
+		if i > 0 && i%5 == 0 {
+			edges = append(edges, workload.Edge{Src: i - 1, Dst: i})
+		}
+	}
+	return workload.MustElasticTrace(jobs.Name, jobs.Jobs, specs, edges)
+}
+
 func mustFingerprint(t *testing.T, cfg Config, jobs *workload.Trace) [32]byte {
 	t.Helper()
 	fp, ok := cfg.Fingerprint(jobs)
@@ -70,6 +91,20 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		if !bytes.Equal(runAccumulatorBytes(t, cfg, jobs), wantAcc) {
 			t.Errorf("%s: same fingerprint as base but a different result", name)
 		}
+	}
+
+	// GreedyMarginal's zero thresholds mean its defaults, so both
+	// spellings must share one key and one result.
+	et := elasticFPFixture(jobs)
+	gm := func(a policy.GreedyMarginal) Config {
+		return Config{Policy: policy.CarbonTime{}, Carbon: tr, Elastic: et, Allocator: a}
+	}
+	zero, explicit := gm(policy.GreedyMarginal{}), gm(policy.GreedyMarginal{ScaleThreshold: 0.75, PreemptAbove: 1.25})
+	if mustFingerprint(t, zero, et.Jobs) != mustFingerprint(t, explicit, et.Jobs) {
+		t.Error("GreedyMarginal{} and GreedyMarginal{0.75, 1.25} must fingerprint equal")
+	}
+	if !bytes.Equal(runAccumulatorBytes(t, zero, et.Jobs), runAccumulatorBytes(t, explicit, et.Jobs)) {
+		t.Error("GreedyMarginal{} and GreedyMarginal{0.75, 1.25} share a fingerprint but not a result")
 	}
 }
 
@@ -338,13 +373,20 @@ func TestDecisionFingerprintBypass(t *testing.T) {
 	}
 }
 
-// TestFingerprintGolden pins the simulation hash of two fixed
-// configurations (a rigid direct-eligible one and a spot one whose
-// eviction knobs enter the hash). A change here orphans every on-disk
-// cache entry, and fingerprintLayout must be bumped alongside.
+// TestFingerprintGolden pins the simulation hash of three fixed
+// configurations: a rigid direct-eligible one, a spot one whose eviction
+// knobs enter the hash, and an elastic one whose 0xE1A5 block carries the
+// elastic trace, the allocator's parameters and the capacity. A change
+// here orphans every on-disk cache entry, and fingerprintLayout must be
+// bumped alongside.
 func TestFingerprintGolden(t *testing.T) {
 	tr, jobs := fpFixture(t)
+	et := elasticFPFixture(jobs)
 	for want, cfg := range map[string]Config{
+		"86184c52fe311a6b732c43f19c5c5111739101e8ee5d7e208e65be8d1d9d6e86": {
+			Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 5, Elastic: et,
+			Allocator:       policy.GreedyMarginal{ScaleThreshold: 0.6, PreemptAbove: 1.5},
+			ElasticCapacity: 16},
 		"8e5993f424d3654e93f365b7256488c6243990b5b2303b0f53b3d734e06a11f6": {
 			Policy: policy.LowestWindow{}, Carbon: tr, Reserved: 42},
 		"7be9cda67a6bc4c8ad18b1b6bb77f16841186068558b3fe3638510e046cfcc94": {

@@ -11,6 +11,7 @@ import (
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 // Checkpointing must reduce eviction waste versus full progress loss at
@@ -94,7 +95,7 @@ func TestShapeScalingDominatesNarrow(t *testing.T) {
 			Arrival:     simtime.Time(simtime.Duration(i*13) * simtime.Hour),
 			Work:        6,
 			MaxParallel: 8,
-			Curve:       scaling.Linear{},
+			Curve:       workload.ScaleCurve{1, 1, 1, 1, 1, 1, 1, 1},
 			Deadline:    48 * simtime.Hour,
 		}
 		wide, err := scaling.PlanJob(job, cis)

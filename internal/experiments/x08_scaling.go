@@ -9,6 +9,7 @@ import (
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/stats"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func init() {
@@ -36,13 +37,14 @@ func runX08Scaling(env runEnv) (fmt.Stringer, error) {
 	}
 	span := horizon(env.scale) - 4*simtime.Day
 	lengths := stats.NewTruncLogNormal(rng, 1.6, 1.0, 0.5, 36) // serial hours
+	curve := workload.AmdahlCurve(0.9, 8)
 	jobs := make([]scaling.ElasticJob, 0, nJobs)
 	for i := 0; i < nJobs; i++ {
 		jobs = append(jobs, scaling.ElasticJob{
 			Arrival:     simtime.Time(rng.Float64() * float64(span)),
 			Work:        lengths.Sample(),
 			MaxParallel: 8,
-			Curve:       scaling.Amdahl{Parallel: 0.9},
+			Curve:       curve,
 			Deadline:    simtime.HoursDur(lengths.Mean()) + 48*simtime.Hour,
 		})
 	}

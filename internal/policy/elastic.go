@@ -85,16 +85,22 @@ type GreedyMarginal struct {
 // Name implements ElasticAllocator.
 func (GreedyMarginal) Name() string { return "Greedy-Marginal" }
 
-// Allocate implements ElasticAllocator.
-func (a GreedyMarginal) Allocate(jobs []ElasticJobView, now simtime.Time, capacity int, ctx *Context) []int {
-	thresh := a.ScaleThreshold
+// Params returns the thresholds Allocate uses: each configured value, or
+// its default (0.75, 1.25) when it is not positive.
+func (a GreedyMarginal) Params() (thresh, preempt float64) {
+	thresh, preempt = a.ScaleThreshold, a.PreemptAbove
 	if thresh <= 0 {
 		thresh = 0.75
 	}
-	preempt := a.PreemptAbove
 	if preempt <= 0 {
 		preempt = 1.25
 	}
+	return thresh, preempt
+}
+
+// Allocate implements ElasticAllocator.
+func (a GreedyMarginal) Allocate(jobs []ElasticJobView, now simtime.Time, capacity int, ctx *Context) []int {
+	thresh, preempt := a.Params()
 	g := greenness(ctx, now)
 
 	grants := make([]int, len(jobs))

@@ -77,12 +77,18 @@ type Ecovisor struct {
 // Name implements Policy.
 func (Ecovisor) Name() string { return "Ecovisor" }
 
+// Percentile returns the threshold percentile Decide uses: the
+// configured one, or the paper's 30 when it is not positive.
+func (e Ecovisor) Percentile() float64 {
+	if e.ThresholdPercentile <= 0 {
+		return 30
+	}
+	return e.ThresholdPercentile
+}
+
 // Decide implements Policy.
 func (e Ecovisor) Decide(job workload.Job, now simtime.Time, ctx *Context) Decision {
-	pct := e.ThresholdPercentile
-	if pct <= 0 {
-		pct = 30
-	}
+	pct := e.Percentile()
 	// Threshold: percentile of hourly CI over the next 24 h. The samples
 	// land in a Context scratch array and are sorted in place — the
 	// percentile arithmetic is unchanged, only the copy is gone.

@@ -8,9 +8,10 @@
 //
 // The planner is the greedy marginal-allocation algorithm: repeatedly buy
 // the cheapest next unit of throughput, where a slot's price is
-// CI(slot) / marginal-speedup. For concave speedup curves the marginal
-// throughput per slot is non-increasing, so the greedy plan matches the
-// continuous-relaxation optimum.
+// CI(slot) / marginal throughput. A job's curve is a workload.ScaleCurve,
+// the same model the elastic engine's allocators read; its marginals are
+// non-increasing, so the greedy plan matches the continuous-relaxation
+// optimum.
 package scaling
 
 import (
@@ -19,40 +20,8 @@ import (
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
-
-// SpeedupCurve maps parallelism to throughput in work-units/hour, with
-// Throughput(1) == 1 by convention (one CPU does one unit of serial work
-// per hour).
-type SpeedupCurve interface {
-	Throughput(k int) float64
-}
-
-// Amdahl is the classic speedup law: a Parallel fraction of the work
-// scales perfectly, the rest is serial.
-type Amdahl struct {
-	// Parallel is the parallelizable fraction in [0, 1].
-	Parallel float64
-}
-
-// Throughput implements SpeedupCurve.
-func (a Amdahl) Throughput(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	return 1 / ((1 - a.Parallel) + a.Parallel/float64(k))
-}
-
-// Linear is the embarrassingly-parallel limit: s(k) = k.
-type Linear struct{}
-
-// Throughput implements SpeedupCurve.
-func (Linear) Throughput(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	return float64(k)
-}
 
 // ElasticJob is a malleable batch job: Work serial CPU-hours that may run
 // at any parallelism up to MaxParallel, with diminishing returns given by
@@ -63,21 +32,17 @@ type ElasticJob struct {
 	Work float64
 	// MaxParallel caps the per-slot allocation.
 	MaxParallel int
-	// Curve is the speedup law; nil means Amdahl{0.9}.
-	Curve SpeedupCurve
+	// Curve holds the job's marginal throughputs, at least MaxParallel of
+	// them (workload.AmdahlCurve builds the classic speedup law).
+	Curve workload.ScaleCurve
 	// Deadline bounds completion at Arrival+Deadline.
 	Deadline simtime.Duration
 }
 
-func (j ElasticJob) curve() SpeedupCurve {
-	if j.Curve == nil {
-		return Amdahl{Parallel: 0.9}
-	}
-	return j.Curve
-}
-
 // Validate reports whether the job is well-formed and feasible at maximum
-// parallelism within its deadline.
+// parallelism within its deadline. The curve must satisfy
+// workload.ScaleCurve's invariants: non-increasing marginals are what make
+// PlanJob's greedy plan optimal.
 func (j ElasticJob) Validate() error {
 	if j.Work <= 0 {
 		return fmt.Errorf("scaling: work %v must be positive", j.Work)
@@ -88,8 +53,14 @@ func (j ElasticJob) Validate() error {
 	if j.Deadline <= 0 {
 		return fmt.Errorf("scaling: deadline %v must be positive", j.Deadline)
 	}
+	if err := j.Curve.Validate(); err != nil {
+		return fmt.Errorf("scaling: %w", err)
+	}
+	if len(j.Curve) < j.MaxParallel {
+		return fmt.Errorf("scaling: curve has %d marginals for max parallelism %d", len(j.Curve), j.MaxParallel)
+	}
 	slots := float64(j.Deadline / simtime.Hour)
-	if capacity := j.curve().Throughput(j.MaxParallel) * slots; capacity < j.Work {
+	if capacity := j.Curve.Throughput(j.MaxParallel) * slots; capacity < j.Work {
 		return fmt.Errorf("scaling: infeasible: %v work > %v capacity within deadline", j.Work, capacity)
 	}
 	return nil
@@ -149,18 +120,11 @@ type slotState struct {
 
 type slotHeap struct {
 	items []*slotState
-	curve SpeedupCurve
-	max   int
+	curve workload.ScaleCurve
 }
 
 // price is the marginal carbon per unit of added throughput.
-func (h *slotHeap) price(s *slotState) float64 {
-	delta := h.curve.Throughput(s.cpus+1) - h.curve.Throughput(s.cpus)
-	if delta <= 0 {
-		return 0
-	}
-	return s.ci / delta
-}
+func (h *slotHeap) price(s *slotState) float64 { return s.ci / h.curve[s.cpus] }
 
 func (h *slotHeap) Len() int { return len(h.items) }
 func (h *slotHeap) Less(i, j int) bool {
@@ -198,11 +162,10 @@ func PlanJob(job ElasticJob, cis carbon.Service) (Plan, error) {
 	if err := job.Validate(); err != nil {
 		return Plan{}, err
 	}
-	curve := job.curve()
 	firstSlot := job.Arrival.HourIndex()
 	lastSlot := (job.Arrival.Add(job.Deadline) - 1).HourIndex()
 
-	h := &slotHeap{curve: curve, max: job.MaxParallel}
+	h := &slotHeap{curve: job.Curve}
 	for s := firstSlot; s <= lastSlot; s++ {
 		slotStart := simtime.Time(simtime.Duration(s) * simtime.Hour)
 		ci := cis.ForecastIntegral(job.Arrival, simtime.Interval{
@@ -215,10 +178,9 @@ func PlanJob(job ElasticJob, cis carbon.Service) (Plan, error) {
 	cpus := make(map[int]int)
 	for remaining > 1e-12 && h.Len() > 0 {
 		s := h.items[0]
-		delta := curve.Throughput(s.cpus+1) - curve.Throughput(s.cpus)
+		remaining -= job.Curve[s.cpus]
 		s.cpus++
 		cpus[s.slot] = s.cpus
-		remaining -= delta
 		if s.cpus >= job.MaxParallel {
 			heap.Pop(h)
 		} else {
@@ -248,7 +210,7 @@ func StaticPlan(job ElasticJob, k int) (Plan, error) {
 	if k < 1 || k > job.MaxParallel {
 		return Plan{}, fmt.Errorf("scaling: static parallelism %d out of [1, %d]", k, job.MaxParallel)
 	}
-	throughput := job.curve().Throughput(k)
+	throughput := job.Curve.Throughput(k)
 	remaining := job.Work
 	var plan Plan
 	slot := job.Arrival.HourIndex()

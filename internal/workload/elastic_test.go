@@ -59,6 +59,38 @@ func TestAmdahlCurveValidates(t *testing.T) {
 	}
 }
 
+// TestAmdahlCurveShape checks the speedup law itself: S(0) = 0,
+// S(1) = 1, strictly increasing, concave, and bounded by 1/(1−p).
+func TestAmdahlCurveShape(t *testing.T) {
+	c := AmdahlCurve(0.9, 64)
+	if c.Throughput(1) != 1 {
+		t.Errorf("s(1) = %v", c.Throughput(1))
+	}
+	if c.Throughput(0) != 0 {
+		t.Errorf("s(0) = %v", c.Throughput(0))
+	}
+	// Monotone, concave, bounded by 1/(1-p) = 10.
+	prev, prevDelta := 1.0, math.Inf(1)
+	for k := 2; k <= 64; k++ {
+		s := c.Throughput(k)
+		if s <= prev {
+			t.Fatalf("not monotone at k=%d", k)
+		}
+		delta := s - prev
+		if delta > prevDelta+1e-12 {
+			t.Fatalf("not concave at k=%d", k)
+		}
+		prev, prevDelta = s, delta
+	}
+	if prev >= 10 {
+		t.Errorf("speedup should stay below 1/(1-p)=10, got %v", prev)
+	}
+	linear := ScaleCurve{1, 1, 1, 1, 1, 1, 1}
+	if linear.Throughput(7) != 7 || linear.Throughput(-1) != 0 {
+		t.Error("linear curve broken")
+	}
+}
+
 func TestElasticSpecValidate(t *testing.T) {
 	good := ElasticSpec{MinReplicas: 1, MaxReplicas: 2, Curve: ScaleCurve{1, 0.7}}
 	if err := good.Validate(); err != nil {
