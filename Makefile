@@ -45,7 +45,7 @@ bench:
 BENCH_JSON ?= BENCH_PR13.json
 BENCH_LABEL ?= pr13
 BENCH_BASELINE ?= BENCH_PR10.json
-BENCH_PATTERN = SchedulerThroughput|MillionJobRun|DirectRun|PolicyDecide|WaitAwhilePlan|CarbonIntegral|SuiteColdVsWarm|Fingerprint|AdviseThroughput|AdviseBatch|SimulateColdVsWarm|EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype
+BENCH_PATTERN = SchedulerThroughput|MillionJobRun|DirectRun|PolicyDecide|WaitAwhilePlan|CarbonIntegral|SuiteColdVsWarm|Fingerprint|AdviseThroughput|AdviseBatch|SimulateColdVsWarm|EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype|EnginePaths
 # -count=3: gaia-bench keeps each benchmark's fastest sample, which damps
 # scheduler noise on shared machines enough for the 15% gate to be stable.
 bench-json:

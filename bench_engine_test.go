@@ -9,10 +9,16 @@ package gaia
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/core"
+	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/sim"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 // xorshift64 is the benchmarks' deterministic RNG: no math/rand in the
@@ -198,5 +204,43 @@ func BenchmarkChattyCancelStorm(b *testing.B) {
 				b.ReportMetric(float64(nJobs*events), "events/op")
 			})
 		}
+	}
+}
+
+// BenchmarkEnginePaths runs the event-engine paths that schedule typed
+// segment events rather than the start/finish jobState: Spot-RES (spot
+// runs, evictions, reserved-first restarts), WaitAwhile suspend-resume
+// plans, and checkpointed spot, each on a seeded 20k-job year. allocs/op
+// is the headline: it must stay flat in the job count (pinned per run by
+// core's TestEnginePathAllocsFlat).
+func BenchmarkEnginePaths(b *testing.B) {
+	const nJobs = 20_000
+	year := carbon.RegionSAAU.GenerateYear(1)
+	jobs := workload.AlibabaPAI().GenerateByCount(rand.New(rand.NewSource(1)), nJobs, 350*simtime.Day)
+	reserved := int(math.Round(jobs.MeanDemand(350*simtime.Day) / 2))
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"spotres", core.Config{Policy: policy.CarbonTime{}, Carbon: year, Reserved: reserved, WorkConserving: true,
+			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05, Seed: 1}},
+		{"waitawhile", core.Config{Policy: policy.WaitAwhile{}, Carbon: year, Reserved: reserved}},
+		{"checkpoint", core.Config{Policy: policy.CarbonTime{}, Carbon: year, Reserved: reserved,
+			SpotMaxLen: 6 * simtime.Hour, EvictionRate: 0.1, Seed: 2,
+			CheckpointInterval: 30 * simtime.Minute, CheckpointOverhead: 3 * simtime.Minute}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := core.Run(c.cfg, jobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.JobCount() != nJobs {
+					b.Fatalf("completed %d jobs", r.JobCount())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/nJobs, "ns/job")
+		})
 	}
 }

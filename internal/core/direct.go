@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -142,7 +141,7 @@ func decideDirect(ctx context.Context, cfg Config, trace *workload.Trace) ([]sim
 
 // directScratch is the per-replay scratch the sweep phase needs: the two
 // endpoint orderings, the rank-indexed start/finish/CPU columns, the
-// reserved-allocation column and the counting-sort buckets. Replayed cells
+// reserved-allocation column and the sort scratch. Replayed cells
 // recycle it through directScratchPool so a warm sweep costs no per-cell
 // endpoint allocations.
 type directScratch struct {
@@ -207,7 +206,7 @@ func (s *directScratch) growReserved(n int) {
 // start/finish/CPU columns. It is a pure function of (starts, trace), so
 // every cell of a sweep replaying one plan shares identical orders; plans
 // memoize the value (trace-identity keyed) and replays after the first
-// skip both counting sorts. A memoized value is shared across concurrent
+// skip both endpoint sorts. A memoized value is shared across concurrent
 // replays and must never be mutated.
 type replayOrders struct {
 	trace            *workload.Trace
@@ -217,17 +216,17 @@ type replayOrders struct {
 }
 
 // fill computes the orderings for (starts, o.trace) into o's columns,
-// which must already have length len(starts). cnt is a reusable
-// counting-sort bucket buffer.
+// which must already have length len(starts). cnt is the reusable
+// scratch of simtime.StableOrder.
 func (o *replayOrders) fill(cnt *[]int32, starts []simtime.Time) {
-	o.startOrd = timeOrderInto(o.startOrd, cnt, starts)
+	o.startOrd = simtime.StableOrder(o.startOrd, cnt, starts)
 	for r, id := range o.startOrd {
 		j := &o.trace.Jobs[id]
 		o.stR[r] = starts[id]
 		o.enR[r] = starts[id].Add(j.Length)
 		o.cpuR[r] = int32(j.CPUs)
 	}
-	o.finOrd = timeOrderInto(o.finOrd, cnt, o.enR)
+	o.finOrd = simtime.StableOrder(o.finOrd, cnt, o.enR)
 }
 
 // replayDirect is phases 2-3: given the decided start column (freshly
@@ -415,63 +414,4 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	}
 	res.AttachAccumulator(acc)
 	return res, nil
-}
-
-// timeOrder returns 0..len(keys)-1 stably sorted ascending by key; see
-// timeOrderInto for the algorithm.
-func timeOrder(keys []simtime.Time) []int32 {
-	return timeOrderInto(make([]int32, len(keys)), new([]int32), keys)
-}
-
-// timeOrderInto fills ord (len(ord) == len(keys)) with 0..len(keys)-1
-// stably sorted ascending by key: a counting sort when the key range is
-// comparable to n (simulation endpoints cluster into at most a horizon's
-// worth of minutes), a stdlib stable sort otherwise. Both are stable, so
-// ties keep input order — exactly the (time, index) lexicographic order
-// the sweep needs. cnt is the reusable counting-bucket buffer (resliced
-// and cleared here, grown when a wider key span needs it).
-func timeOrderInto(ord []int32, cnt *[]int32, keys []simtime.Time) []int32 {
-	n := len(keys)
-	ord = ord[:n]
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	if n < 2 {
-		return ord
-	}
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		if k < lo {
-			lo = k
-		} else if k > hi {
-			hi = k
-		}
-	}
-	span := int64(hi-lo) + 1
-	if span <= int64(8*n) || span <= 1<<16 {
-		want := int(span) + 1
-		if cap(*cnt) < want {
-			*cnt = make([]int32, want)
-		} else {
-			*cnt = (*cnt)[:want]
-			clear(*cnt)
-		}
-		buckets := *cnt
-		for _, k := range keys {
-			buckets[int64(k-lo)+1]++
-		}
-		for b := 1; b < len(buckets); b++ {
-			buckets[b] += buckets[b-1]
-		}
-		for i, k := range keys {
-			b := int64(k - lo)
-			ord[buckets[b]] = int32(i)
-			buckets[b]++
-		}
-		return ord
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return keys[ord[a]] < keys[ord[b]]
-	})
-	return ord
 }

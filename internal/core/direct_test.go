@@ -273,6 +273,8 @@ func FuzzDirectVsEngine(f *testing.F) {
 // order on both the counting and comparison branches, which must agree
 // with each other exactly.
 func TestTimeOrder(t *testing.T) {
+	// The direct path orders its endpoints with simtime.StableOrder.
+	timeOrder := func(keys []simtime.Time) []int32 { return simtime.StableOrder(nil, new([]int32), keys) }
 	keys := []simtime.Time{50, 10, 50, 10, 0, 99, 50, 10}
 	want := []int32{4, 1, 3, 7, 0, 2, 6, 5}
 	if got := timeOrder(keys); !reflect.DeepEqual(got, want) {
@@ -285,9 +287,9 @@ func TestTimeOrder(t *testing.T) {
 		t.Errorf("single-key order = %v", got)
 	}
 
-	// A sparse key set (span >> 8n) exercises the comparison fallback;
-	// the dense copy of the same relative order uses counting. Both must
-	// produce the identical permutation.
+	// A sparse key set (span >> 8n) exercises the radix branch; the dense
+	// copy of the same relative order uses counting. Both must produce the
+	// identical permutation.
 	rnd := newRand(9)
 	sparse := make([]simtime.Time, 500)
 	for i := range sparse {
@@ -300,6 +302,6 @@ func TestTimeOrder(t *testing.T) {
 		dense[i] = simtime.Time(sort.Search(len(ranks), func(j int) bool { return ranks[j] >= k }))
 	}
 	if got, want := timeOrder(sparse), timeOrder(dense); !reflect.DeepEqual(got, want) {
-		t.Error("comparison and counting branches disagree")
+		t.Error("radix and counting branches disagree")
 	}
 }

@@ -245,8 +245,12 @@ func (el *elasticState) ensureTick(now simtime.Time) {
 	}
 	el.tickSet = true
 	boundary := simtime.Time(now.HourIndex()+1) * simtime.Time(simtime.Hour)
-	el.s.engine.Schedule(boundary, sim.PriorityLow, el.tick)
+	el.s.engine.ScheduleAction(boundary, sim.PriorityLow, el)
 }
+
+// Fire runs the pending hourly tick: the elastic state is its own event
+// record, as at most one tick is ever queued.
+func (el *elasticState) Fire() { el.tick() }
 
 // tick is the hourly reallocation boundary: every running managed job's
 // view goes to the allocator in one call, grants are clamped to the specs'

@@ -110,20 +110,15 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 			s.ctx.SlackFn = et.Slack
 		}
 	}
-	// Pre-size the jobState pool: its high-water mark is the peak
-	// in-flight job count, which the paper's traces keep in the hundreds,
-	// so a capped hint removes steady-state append growth without
-	// reserving much on huge traces (the slice still grows on demand).
-	if hint := len(trace.Jobs); hint > 0 {
-		if hint > 1024 {
-			hint = 1024
-		}
-		s.free = make([]*jobState, 0, hint)
-	}
-	// The scheduler's event loop is allocation-free in steady state: the
-	// normalized trace's arrivals feed straight from the trace slice (no
-	// materialized arrival events), in-flight jobs ride pooled jobState
-	// action records, and the engine's arena recycles fired events. Queue
+	// The scheduler's event loop allocates nothing per event in steady
+	// state: the normalized trace's arrivals feed straight from the trace
+	// slice (no materialized arrival events), every queued event is a
+	// typed action record — a jobState on the start/finish path, a segment
+	// on the spot, checkpoint and suspend-resume paths, the elastic state
+	// for its hourly tick — recycled through the run's slabs, and the
+	// engine's arena recycles fired events. No path passes a closure to
+	// the engine. What remains per job is the policy's own output (a
+	// suspend-resume plan) and, on the elastic path, its job record. Queue
 	// classification happens on the per-event copy of the job, never on
 	// the (shared, immutable) trace.
 	s.engine.SetSource(len(trace.Jobs),
@@ -193,10 +188,43 @@ type scheduler struct {
 	el *elasticState
 	// results holds the retained per-job records (RetainJobs only).
 	results []metrics.JobResult
-	// free pools jobState records between finish and the next arrival, so
-	// per-job state allocation is bounded by the peak in-flight count.
-	free []*jobState
+	// jobs and segs recycle the event records: a jobState from arrival to
+	// finish, a segment from its first event to its last.
+	jobs slab[jobState]
+	segs slab[segment]
+	// plan is the reused buffer for a normalized suspend-resume plan,
+	// which is consumed (turned into segments) as soon as it is built.
+	plan []simtime.Interval
 }
+
+// slab recycles one kind of event record. get takes a released record or
+// carves a fresh one from the current chunk; chunks double from 16 to 256
+// records, so a run's record storage is bounded by its peak in-flight
+// count and costs a handful of allocations, not one per job or event.
+type slab[T any] struct {
+	chunk []T
+	size  int // length of the last chunk
+	free  []*T
+}
+
+// get returns a record with stale contents; the caller overwrites it.
+func (p *slab[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
+	}
+	if len(p.chunk) == 0 {
+		p.size = min(max(2*p.size, 16), 256)
+		p.chunk = make([]T, p.size)
+	}
+	x := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	return x
+}
+
+// put releases a record for reuse.
+func (p *slab[T]) put(x *T) { p.free = append(p.free, x) }
 
 // jobState phases dispatched by Fire.
 const (
@@ -207,9 +235,9 @@ const (
 
 // jobState carries one in-flight job through its scheduled events. It is
 // the engine Action for the hot start/finish path (no closures, and the
-// record recycles through scheduler.free when the job completes), the
-// work-conservation waiter entry, and — in streaming mode — the scratch
-// storage for the job's accounting record.
+// record recycles through the scheduler's jobs slab when the job
+// completes), the work-conservation waiter entry, and — in streaming
+// mode — the scratch storage for the job's accounting record.
 type jobState struct {
 	s     *scheduler
 	job   workload.Job
@@ -241,19 +269,12 @@ func (js *jobState) Fire() {
 	}
 }
 
-// newJobState takes a pooled (or fresh) jobState for an arriving job and
-// points its accounting record at the retained slice or the embedded
-// scratch record.
+// newJobState takes a recycled jobState for an arriving job and points
+// its accounting record at the retained slice or the embedded scratch
+// record.
 func (s *scheduler) newJobState(job workload.Job) *jobState {
-	var js *jobState
-	if n := len(s.free); n > 0 {
-		js = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		*js = jobState{s: s, job: job}
-	} else {
-		js = &jobState{s: s, job: job}
-	}
+	js := s.jobs.get()
+	*js = jobState{s: s, job: job}
 	if s.results != nil {
 		js.rec = &s.results[job.ID]
 	} else {
@@ -349,26 +370,108 @@ func (s *scheduler) startJob(js *jobState) {
 	s.engine.ScheduleAction(iv.End, sim.PriorityFinish, js)
 }
 
+// segKind names the event a segment record fires as.
+type segKind uint8
+
+const (
+	// segClaim takes reserved-first capacity for iv, books it and becomes
+	// the segRelease event at iv.End.
+	segClaim segKind = iota
+	// segRelease returns the claimed reserved units; when iv.End == end it
+	// also finishes the job.
+	segRelease
+	// segSpot books iv on spot capacity; when iv.End == end it becomes the
+	// job's segFinish event.
+	segSpot
+	// segWaste books iv on spot capacity as eviction waste.
+	segWaste
+	// segCheckpoint books a checkpointed spot run evicted at iv.End: the
+	// first dur of iv was saved by checkpoints, the rest is waste.
+	segCheckpoint
+	// segFinish completes the job at end.
+	segFinish
+)
+
+// segment is the engine Action for every event of the spot, checkpoint
+// and suspend-resume paths: one execution interval of one job. Records
+// come from the scheduler's slab and return to its free list after their
+// last event; a record that schedules a follow-on (claim → release, spot →
+// finish) reschedules itself, so each interval costs one record however
+// many events it fires.
+type segment struct {
+	js   *jobState
+	kind segKind
+	iv   simtime.Interval
+	// end is the job's completion instant: the segment whose interval
+	// ends there completes the job. Zero (never a completion instant, as
+	// every job has positive length) marks a segment that does not.
+	end simtime.Time
+	// reserved is the claimed unit count between segClaim and segRelease.
+	reserved int
+	// dur is segCheckpoint's saved (useful) prefix of iv.
+	dur simtime.Duration
+}
+
+// newSegment takes a recycled segment record for one of js's intervals.
+func (s *scheduler) newSegment(js *jobState, kind segKind, iv simtime.Interval, end simtime.Time) *segment {
+	g := s.segs.get()
+	*g = segment{js: js, kind: kind, iv: iv, end: end}
+	return g
+}
+
+// Fire runs the segment's event. Every path that does not reschedule the
+// record recycles it; the job state is read first, because finish
+// recycles that too.
+func (g *segment) Fire() {
+	js := g.js
+	s := js.s
+	cpus := js.job.CPUs
+	switch g.kind {
+	case segClaim:
+		g.reserved = s.pool.Acquire(cpus)
+		s.account(js.rec, g.iv, g.reserved, cpus-g.reserved, 0, false)
+		g.kind = segRelease
+		s.engine.ScheduleAction(g.iv.End, sim.PriorityFinish, g)
+		return
+	case segRelease:
+		s.pool.Release(g.reserved)
+		if g.iv.End == g.end {
+			s.finish(js, g.end)
+		}
+	case segSpot:
+		s.account(js.rec, g.iv, 0, 0, cpus, false)
+		if g.iv.End == g.end {
+			g.kind = segFinish
+			s.engine.ScheduleAction(g.end, sim.PriorityFinish, g)
+			return
+		}
+	case segWaste:
+		s.account(js.rec, g.iv, 0, 0, cpus, true)
+	case segCheckpoint:
+		useful := simtime.Interval{Start: g.iv.Start, End: g.iv.Start.Add(g.dur)}
+		s.account(js.rec, useful, 0, 0, cpus, false)
+		s.account(js.rec, simtime.Interval{Start: useful.End, End: g.iv.End}, 0, 0, cpus, true)
+	case segFinish:
+		s.finish(js, g.end)
+	}
+	s.segs.put(g)
+}
+
+// normalizePlan is policy.NormalizePlan into the scheduler's reused plan
+// buffer; the result is valid until the next call.
+func (s *scheduler) normalizePlan(plan []simtime.Interval, length simtime.Duration) []simtime.Interval {
+	s.plan = policy.AppendNormalizedPlan(s.plan[:0], plan, length)
+	return s.plan
+}
+
 // schedulePlan executes a suspend-resume plan: each interval independently
 // claims reserved-first capacity at its start and releases it at its end.
 func (s *scheduler) schedulePlan(js *jobState, plan []simtime.Interval) {
-	plan = policy.NormalizePlan(plan, js.job.Length)
-	rec := js.rec
-	rec.Start = plan[0].Start
+	plan = s.normalizePlan(plan, js.job.Length)
+	js.rec.Start = plan[0].Start
 	last := plan[len(plan)-1].End
 	for _, iv := range plan {
-		iv := iv
-		s.engine.Schedule(iv.Start, sim.PriorityStart, func() {
-			reserved := s.pool.Acquire(js.job.CPUs)
-			onDemand := js.job.CPUs - reserved
-			s.account(rec, iv, reserved, onDemand, 0, false)
-			s.engine.Schedule(iv.End, sim.PriorityFinish, func() {
-				s.pool.Release(reserved)
-				if iv.End == last {
-					s.finish(js, last)
-				}
-			})
-		})
+		s.engine.ScheduleAction(iv.Start, sim.PriorityStart, s.newSegment(js, segClaim, iv, last))
 	}
 }
 
@@ -380,16 +483,17 @@ func (s *scheduler) schedulePlan(js *jobState, plan []simtime.Interval) {
 func (s *scheduler) scheduleSpot(js *jobState) {
 	now := s.engine.Now()
 	job := js.job
-	rec := js.rec
 	d := s.cfg.Policy.Decide(job, now, s.ctx)
 	if err := d.Validate(job, now); err != nil {
 		panic(fmt.Sprintf("policy %s: %v", s.cfg.Policy.Name(), err))
 	}
+	var one [1]simtime.Interval
 	plan := d.Plan
 	if !d.IsPlan() {
-		plan = []simtime.Interval{{Start: d.Start, End: d.Start.Add(job.Length)}}
+		one[0] = simtime.Interval{Start: d.Start, End: d.Start.Add(job.Length)}
+		plan = one[:]
 	} else {
-		plan = policy.NormalizePlan(plan, job.Length)
+		plan = s.normalizePlan(plan, job.Length)
 	}
 
 	if s.cfg.CheckpointInterval > 0 && len(plan) == 1 {
@@ -407,46 +511,35 @@ func (s *scheduler) scheduleSpot(js *jobState) {
 		}
 	}
 
-	rec.Start = plan[0].Start
+	js.rec.Start = plan[0].Start
 	if evictAt < 0 {
 		// Clean spot execution.
 		last := plan[len(plan)-1].End
 		for _, iv := range plan {
-			iv := iv
-			s.engine.Schedule(iv.Start, sim.PriorityStart, func() {
-				s.account(rec, iv, 0, 0, job.CPUs, false)
-				if iv.End == last {
-					s.engine.Schedule(last, sim.PriorityFinish, func() { s.finish(js, last) })
-				}
-			})
+			s.engine.ScheduleAction(iv.Start, sim.PriorityStart, s.newSegment(js, segSpot, iv, last))
 		}
 		return
 	}
 
 	// Evicted: all execution up to evictAt is waste; restart on demand.
-	rec.Evictions = 1
+	js.rec.Evictions = 1
 	for _, iv := range plan {
 		if iv.Start >= evictAt {
 			break
 		}
-		wasted := iv
-		if wasted.End > evictAt {
-			wasted.End = evictAt
+		if iv.End > evictAt {
+			iv.End = evictAt
 		}
-		s.engine.Schedule(wasted.Start, sim.PriorityStart, func() {
-			s.account(rec, wasted, 0, 0, job.CPUs, true)
-		})
+		s.engine.ScheduleAction(iv.Start, sim.PriorityStart, s.newSegment(js, segWaste, iv, 0))
 	}
-	s.engine.Schedule(evictAt, sim.PriorityEvict, func() {
-		reserved := s.pool.Acquire(job.CPUs)
-		onDemand := job.CPUs - reserved
-		iv := simtime.Interval{Start: evictAt, End: evictAt.Add(job.Length)}
-		s.account(rec, iv, reserved, onDemand, 0, false)
-		s.engine.Schedule(iv.End, sim.PriorityFinish, func() {
-			s.pool.Release(reserved)
-			s.finish(js, iv.End)
-		})
-	})
+	s.scheduleRestart(js, evictAt, job.Length)
+}
+
+// scheduleRestart queues an evicted job's restart at evictAt: the
+// remaining work runs on reserved-first capacity and completes the job.
+func (s *scheduler) scheduleRestart(js *jobState, evictAt simtime.Time, remaining simtime.Duration) {
+	iv := simtime.Interval{Start: evictAt, End: evictAt.Add(remaining)}
+	s.engine.ScheduleAction(evictAt, sim.PriorityEvict, s.newSegment(js, segClaim, iv, iv.End))
 }
 
 // scheduleCheckpointedSpot runs a spot job that checkpoints after every
@@ -456,7 +549,6 @@ func (s *scheduler) scheduleSpot(js *jobState) {
 // on-demand capacity (reserved-first), checkpoint-free.
 func (s *scheduler) scheduleCheckpointedSpot(js *jobState, start simtime.Time) {
 	job := js.job
-	rec := js.rec
 	ckInt := s.cfg.CheckpointInterval
 	ckOver := s.cfg.CheckpointOverhead
 	// Checkpoints strictly inside the job (none at completion).
@@ -464,45 +556,30 @@ func (s *scheduler) scheduleCheckpointedSpot(js *jobState, start simtime.Time) {
 	padded := job.Length + simtime.Duration(numCk)*ckOver
 	cycle := ckInt + ckOver
 
-	rec.Start = start
+	js.rec.Start = start
 	evictAt, evicted := s.evict.SampleEviction(start, padded)
 	if !evicted {
-		// Clean run: whole padded execution on spot.
+		// Clean run: whole padded execution on spot. The finish is queued
+		// now, ahead of the start, so it is its own record.
 		iv := simtime.Interval{Start: start, End: start.Add(padded)}
-		s.engine.Schedule(start, sim.PriorityStart, func() {
-			s.account(rec, iv, 0, 0, job.CPUs, false)
-		})
-		s.engine.Schedule(iv.End, sim.PriorityFinish, func() { s.finish(js, iv.End) })
+		s.engine.ScheduleAction(start, sim.PriorityStart, s.newSegment(js, segSpot, iv, 0))
+		s.engine.ScheduleAction(iv.End, sim.PriorityFinish, s.newSegment(js, segFinish, iv, iv.End))
 		return
 	}
 
-	rec.Evictions = 1
+	js.rec.Evictions = 1
 	ran := evictAt.Sub(start)
 	savedCycles := int(ran / cycle)
 	if savedCycles > numCk {
 		savedCycles = numCk
 	}
 	savedWork := simtime.Duration(savedCycles) * ckInt
-	remaining := job.Length - savedWork
 	// Everything run on spot is billed/emitted; only savedWork of it is
 	// useful, the rest is eviction waste.
-	spotIv := simtime.Interval{Start: start, End: evictAt}
-	s.engine.Schedule(start, sim.PriorityStart, func() {
-		useful := simtime.Interval{Start: start, End: start.Add(savedWork)}
-		s.account(rec, useful, 0, 0, job.CPUs, false)
-		wasted := simtime.Interval{Start: useful.End, End: spotIv.End}
-		s.account(rec, wasted, 0, 0, job.CPUs, true)
-	})
-	s.engine.Schedule(evictAt, sim.PriorityEvict, func() {
-		reserved := s.pool.Acquire(job.CPUs)
-		onDemand := job.CPUs - reserved
-		iv := simtime.Interval{Start: evictAt, End: evictAt.Add(remaining)}
-		s.account(rec, iv, reserved, onDemand, 0, false)
-		s.engine.Schedule(iv.End, sim.PriorityFinish, func() {
-			s.pool.Release(reserved)
-			s.finish(js, iv.End)
-		})
-	})
+	g := s.newSegment(js, segCheckpoint, simtime.Interval{Start: start, End: evictAt}, 0)
+	g.dur = savedWork
+	s.engine.ScheduleAction(start, sim.PriorityStart, g)
+	s.scheduleRestart(js, evictAt, job.Length-savedWork)
 }
 
 // finish closes a job's record, folds it into the streaming accumulator,
@@ -513,7 +590,7 @@ func (s *scheduler) finish(js *jobState, at simtime.Time) {
 	rec.Finish = at
 	rec.Waiting = at.Sub(rec.Arrival) - rec.Length
 	s.acc.AddJob(rec)
-	s.free = append(s.free, js)
+	s.jobs.put(js)
 	if s.cfg.WorkConserving {
 		s.drainWaiting()
 	}

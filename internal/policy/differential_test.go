@@ -232,3 +232,41 @@ func TestDecideAllocationBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestRankOrderExtensionMatchesFreshSort pins the WaitAwhile rank cache's
+// merge: a bucket extended by later deadlines (in any sequence) must equal
+// a fresh (CI, index) sort of the whole bucket, on random and tie-heavy
+// traces.
+func TestRankOrderExtensionMatchesFreshSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for ti, tr := range diffTraces() {
+		ctx := &Context{CIS: carbon.NewPerfectService(tr), Queues: diffQueueConfigs()[0]}
+		ctx.EnableFastPaths()
+		extended := 0
+		for trial := 0; trial < 60; trial++ {
+			i0 := rng.Intn(6) // few buckets, so most calls revisit one
+			iD := i0 + rng.Intn(40)
+			if r, ok := ctx.ranks[i0]; ok && iD > r.iDmax {
+				extended++
+			}
+			got := append([]int32(nil), ctx.rankOrder(i0, iD)...)
+			want := make([]int32, 0, iD-i0+1)
+			for i := i0; i <= ctx.ranks[i0].iDmax; i++ {
+				want = append(want, int32(i))
+			}
+			sort.Slice(want, func(a, b int) bool {
+				va, vb := tr.Value(int(want[a])), tr.Value(int(want[b]))
+				if va != vb {
+					return va < vb
+				}
+				return want[a] < want[b]
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace %d: rankOrder(%d, %d) = %v, want %v", ti, i0, iD, got, want)
+			}
+		}
+		if extended == 0 {
+			t.Errorf("trace %d: no bucket was extended", ti)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/simtime"
@@ -222,32 +223,63 @@ func (c *Context) fastWaitAwhile(job workload.Job, now simtime.Time) (Decision, 
 	return Decision{Plan: mergedCopy(picked)}, true
 }
 
-// rankOrder returns slot indices [i0, >=iD] sorted by (CI, index),
-// extending the cached bucket when a later deadline needs more slots.
+// rankOrder returns slot indices [i0, >=iD] sorted by (CI, index). A
+// later deadline extends the cached bucket: only the added slots are
+// sorted, then merged into the cached order. The order is strict, so the
+// merge equals a fresh sort of the whole bucket.
 func (c *Context) rankOrder(i0, iD int) []int32 {
 	r, ok := c.ranks[i0]
 	if ok && iD <= r.iDmax {
 		return r.order
 	}
-	idx := make([]int32, iD-i0+1)
-	for i := range idx {
-		idx[i] = int32(i0 + i)
+	from := i0
+	if ok {
+		from = r.iDmax + 1
 	}
 	tr := c.ftrace
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := tr.Value(int(idx[a])), tr.Value(int(idx[b]))
-		if va != vb {
-			return va < vb
+	add := c.rankAdd[:0]
+	for i := from; i <= iD; i++ {
+		add = append(add, rankKey{ci: tr.Value(i), idx: int32(i)})
+	}
+	c.rankAdd = add
+	slices.SortFunc(add, compareRank)
+
+	order := make([]int32, 0, len(r.order)+len(add))
+	for _, idx := range r.order {
+		k := rankKey{ci: tr.Value(int(idx)), idx: idx}
+		for len(add) > 0 && compareRank(add[0], k) < 0 {
+			order = append(order, add[0].idx)
+			add = add[1:]
 		}
-		return idx[a] < idx[b]
-	})
-	c.ranks[i0] = hourRank{iDmax: iD, order: idx}
-	return idx
+		order = append(order, idx)
+	}
+	for _, k := range add {
+		order = append(order, k.idx)
+	}
+	c.ranks[i0] = hourRank{iDmax: iD, order: order}
+	return order
+}
+
+// rankKey is one hourly slot's WaitAwhile rank key.
+type rankKey struct {
+	ci  float64
+	idx int32
+}
+
+// compareRank orders rank keys by CI, then slot index.
+func compareRank(a, b rankKey) int {
+	if a.ci != b.ci {
+		if a.ci < b.ci {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // sortIntervalsByStart orders a small plan by start time. Starts are
 // unique (slots are disjoint), so insertion sort matches any comparison
-// sort; it avoids sort.Slice's closure allocation on the hot path.
+// sort; it avoids the sort package's closure and swapper on the hot path.
 func sortIntervalsByStart(ivs []simtime.Interval) {
 	for i := 1; i < len(ivs); i++ {
 		iv := ivs[i]

@@ -56,6 +56,7 @@ type Context struct {
 	fast     []*carbon.QueueTables
 	ftrace   *carbon.Trace
 	ranks    map[int]hourRank
+	rankAdd  []rankKey // rankOrder's scratch for the slots a bucket gains
 	fastHits int64
 
 	// Scratch buffers reused across Decide calls on this Context.
@@ -130,7 +131,13 @@ func (d Decision) ExactCoverage(length simtime.Duration) bool {
 // estimate — the final window is extended so the job runs to completion.
 // The input plan must be non-empty and valid.
 func NormalizePlan(plan []simtime.Interval, length simtime.Duration) []simtime.Interval {
-	out := make([]simtime.Interval, 0, len(plan))
+	return AppendNormalizedPlan(make([]simtime.Interval, 0, len(plan)), plan, length)
+}
+
+// AppendNormalizedPlan is NormalizePlan appending to dst, so a caller
+// that consumes the windows at once can reuse one buffer across jobs.
+func AppendNormalizedPlan(dst, plan []simtime.Interval, length simtime.Duration) []simtime.Interval {
+	out := dst
 	remaining := length
 	for _, iv := range plan {
 		if iv.Len() >= remaining {

@@ -165,13 +165,7 @@ func NewElasticTrace(name string, jobs []Job, specs []ElasticSpec, edges []Edge)
 
 	// Stable arrival sort via an index permutation so specs and edge
 	// endpoints can be remapped onto the new numbering.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Arrival < jobs[order[b]].Arrival
-	})
+	order := arrivalOrder(jobs)
 	newID := make([]int, n) // old position → new ID
 	js := make([]Job, n)
 	sp := make([]ElasticSpec, n)

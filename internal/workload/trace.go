@@ -67,18 +67,27 @@ func (t *Trace) Fingerprint() [32]byte {
 	return *fp
 }
 
-// NewTrace builds a trace, sorting jobs by arrival and re-numbering IDs in
-// arrival order. It returns an error if any job is malformed.
+// NewTrace builds a trace, stably sorting jobs by arrival and re-numbering
+// IDs in arrival order. It returns an error if any job is malformed.
 func NewTrace(name string, jobs []Job) (*Trace, error) {
-	js := append([]Job(nil), jobs...)
-	sort.SliceStable(js, func(i, j int) bool { return js[i].Arrival < js[j].Arrival })
-	for i := range js {
+	js := make([]Job, len(jobs))
+	for i, o := range arrivalOrder(jobs) {
+		js[i] = jobs[o]
 		js[i].ID = i
 		if err := js[i].Validate(); err != nil {
 			return nil, err
 		}
 	}
 	return &Trace{Name: name, Jobs: js}, nil
+}
+
+// arrivalOrder returns the positions of jobs stably sorted by arrival.
+func arrivalOrder(jobs []Job) []int32 {
+	keys := make([]simtime.Time, len(jobs))
+	for i := range jobs {
+		keys[i] = jobs[i].Arrival
+	}
+	return simtime.StableOrder(nil, new([]int32), keys)
 }
 
 // MustTrace is NewTrace that panics on error.

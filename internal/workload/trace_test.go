@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -306,5 +307,27 @@ func TestLengthAndCPUCDFs(t *testing.T) {
 	cc := tr.CPUCDF()
 	if cc.At(2) != 0.5 {
 		t.Errorf("CPUCDF(2) = %v", cc.At(2))
+	}
+}
+
+// TestNewTraceArrivalExtremes feeds arrivals at both ends of the int64
+// range through the arrival sort: the negative arrival must surface as
+// the validation error, not as a panic or an overflowed span.
+func TestNewTraceArrivalExtremes(t *testing.T) {
+	jobs := []Job{
+		{Arrival: math.MaxInt64, Length: 1, CPUs: 1},
+		{Arrival: 0, Length: 1, CPUs: 1},
+		{Arrival: math.MinInt64, Length: 1, CPUs: 1},
+	}
+	_, err := NewTrace("extremes", jobs)
+	if err == nil || !strings.Contains(err.Error(), "negative arrival") {
+		t.Fatalf("NewTrace = %v, want the negative-arrival error", err)
+	}
+	tr, err := NewTrace("max", jobs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Jobs[0].Arrival != 0 || tr.Jobs[1].Arrival != math.MaxInt64 {
+		t.Errorf("arrivals = %v, %v", tr.Jobs[0].Arrival, tr.Jobs[1].Arrival)
 	}
 }
