@@ -45,7 +45,7 @@ bench:
 BENCH_JSON ?= BENCH_PR13.json
 BENCH_LABEL ?= pr13
 BENCH_BASELINE ?= BENCH_PR10.json
-BENCH_PATTERN = SchedulerThroughput|MillionJobRun|DirectRun|PolicyDecide|WaitAwhilePlan|CarbonIntegral|SuiteColdVsWarm|Fingerprint|AdviseThroughput|AdviseBatch|SimulateColdVsWarm|EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype|EnginePaths
+BENCH_PATTERN = SchedulerThroughput|MillionJobRun|PlanReplayYear|DirectRun|PolicyDecide|WaitAwhilePlan|CarbonIntegral|SuiteColdVsWarm|Fingerprint|AdviseThroughput|AdviseBatch|SimulateColdVsWarm|EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype|EnginePaths
 # -count=3: gaia-bench keeps each benchmark's fastest sample, which damps
 # scheduler noise on shared machines enough for the 15% gate to be stable.
 bench-json:
@@ -64,12 +64,14 @@ bench-check:
 # the race detector at a fixed parallelism, so every bench-quick run also
 # re-proves the direct path bit-identical to the engine and plan replays
 # bit-identical to full runs (cold-then-warm sweep with plan hits
-# asserted in TestReservedSweepSharesPlans). The -race list also replays
+# asserted in TestReservedSweepSharesPlans), and the sharded usage fill
+# (TestShardedFillMatchesAddJob plus FuzzUsageShards' seed corpus)
+# bit-identical to sequential binning. The -race list also replays
 # the elastic degenerate differential (rigid jobs byte-identical under the
 # elastic machinery) and the resize/cancel-storm wheel-vs-heap fuzz seeds.
 bench-quick:
 	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|Prototype' -benchtime=0.1s -benchmem .
-	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
+	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|FuzzUsageShards|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
 		./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 
 # End-to-end fleet smoke test: gaia-load boots two gaia-serve replicas

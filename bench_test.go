@@ -360,6 +360,45 @@ func BenchmarkMillionJobRun(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanReplayYear measures the plan tier's replay at year scale:
+// the 1M-job Alibaba year of BenchmarkMillionJobRun, decided once outside
+// the timer, then eight reserved-capacity cells replayed per op through
+// core.RunWithPlan — the accounting-only work every plan-hit cell of a
+// reserved sweep does. One untimed replay first builds the plan's
+// memoized endpoint orders, so every op is a steady-state sweep.
+func BenchmarkPlanReplayYear(b *testing.B) {
+	const nJobs, nCells = 1_000_000, 8
+	tr := carbon.RegionSAAU.GenerateYear(1)
+	jobs := workload.AlibabaPAI().GenerateByCount(rand.New(rand.NewSource(1)), nJobs, 350*simtime.Day)
+	cfgs := make([]core.Config, nCells)
+	for i := range cfgs {
+		cfgs[i] = core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 200 + 100*i}
+	}
+	ctx := context.Background()
+	plan, err := core.DecidePlan(ctx, cfgs[0], jobs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay := func(cfg core.Config) {
+		res, err := core.RunWithPlan(ctx, cfg, jobs, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.JobCount() != nJobs {
+			b.Fatalf("replayed %d jobs", res.JobCount())
+		}
+	}
+	replay(cfgs[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			replay(cfg)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/(float64(b.N)*nJobs*nCells), "ns/job")
+}
+
 // BenchmarkDirectRun pins the direct-execution run path against the event
 // engine on one direct-eligible cell (start-based policy, no work
 // conservation, no spot): identical configuration, identical results

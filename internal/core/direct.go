@@ -141,15 +141,16 @@ func decideDirect(ctx context.Context, cfg Config, trace *workload.Trace) ([]sim
 
 // directScratch is the per-replay scratch the sweep phase needs: the two
 // endpoint orderings, the rank-indexed start/finish/CPU columns, the
-// reserved-allocation column and the sort scratch. Replayed cells
-// recycle it through directScratchPool so a warm sweep costs no per-cell
-// endpoint allocations.
+// reserved-allocation column, the sort scratch and the accounting pass's
+// usage shards. Replayed cells recycle it through directScratchPool so a
+// warm sweep costs no per-cell endpoint or binning allocations.
 type directScratch struct {
 	startOrd, finOrd []int32
 	stR, enR         []simtime.Time
 	cpuR             []int32
 	reservedBy       []int32
 	cnt              []int32
+	usage            []metrics.UsageShard
 }
 
 var directScratchPool = sync.Pool{New: func() any { return new(directScratch) }}
@@ -161,9 +162,12 @@ var directScratchPool = sync.Pool{New: func() any { return new(directScratch) }}
 // skewing GC pacing for the rest of the process.
 const directScratchMax = 1 << 18
 
-// release returns the scratch to the pool, or drops an oversized one.
-func (s *directScratch) release() {
-	if cap(s.reservedBy) > directScratchMax {
+// release returns the scratch to the pool after use on an n-job trace,
+// or drops it when n exceeds directScratchMax. Every column, the sort
+// buckets included, is bounded by a small multiple of the largest trace
+// the scratch has served, so bounding n bounds them all.
+func (s *directScratch) release(n int) {
+	if n > directScratchMax {
 		return
 	}
 	directScratchPool.Put(s)
@@ -205,11 +209,13 @@ func (s *directScratch) growReserved(n int) {
 // fire order, start ranks in finish fire order, and the rank-indexed
 // start/finish/CPU columns. It is a pure function of (starts, trace), so
 // every cell of a sweep replaying one plan shares identical orders; plans
-// memoize the value (trace-identity keyed) and replays after the first
-// skip both endpoint sorts. A memoized value is shared across concurrent
-// replays and must never be mutated.
+// memoize the value keyed by the caller's trace identity (key), and
+// replays after the first skip both endpoint sorts as well as the trace
+// normalization and plan validation (planOrders). A memoized value is
+// shared across concurrent replays and must never be mutated.
 type replayOrders struct {
-	trace            *workload.Trace
+	key              *workload.Trace // the caller's trace (memo key)
+	trace            *workload.Trace // key, normalized
 	startOrd, finOrd []int32
 	stR, enR         []simtime.Time
 	cpuR             []int32
@@ -233,10 +239,10 @@ func (o *replayOrders) fill(cnt *[]int32, starts []simtime.Time) {
 // decided or replayed from a cached plan — the slice is treated as
 // immutable either way), sweep the endpoints sequentially and fan the
 // order-free accounting back out. The result is bit-identical to a full
-// runDirect whose decide phase produced the same starts. A non-nil plan
-// supplies (and on first use receives) the memoized endpoint orderings;
-// runDirect passes nil and sorts into pooled scratch.
-func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts []simtime.Time, plan *DecisionPlan) (*metrics.Result, error) {
+// runDirect whose decide phase produced the same starts. A non-nil ord is
+// a plan's memoized endpoint orderings for (starts, trace); runDirect
+// passes nil and sorts into pooled scratch.
+func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts []simtime.Time, ord *replayOrders) (*metrics.Result, error) {
 	n := len(trace.Jobs)
 	bounds := cfg.queueBounds()
 	acc := metrics.NewAccumulator(n, cfg.Horizon)
@@ -252,26 +258,7 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	// as the engine's priority ordering does, replaying the reserved
 	// pool's acquire/release arithmetic and folding the CPU·hour totals.
 	sc := directScratchPool.Get().(*directScratch)
-	defer sc.release()
-	var ord *replayOrders
-	if plan != nil {
-		if m := plan.orders.Load(); m != nil && m.trace == trace {
-			ord = m // warm sweep cell: skip both endpoint sorts
-		}
-	}
-	if ord == nil && plan != nil {
-		// First replay of this plan against this trace: compute into
-		// plan-owned columns and publish (racing replays may each compute;
-		// last store wins and all values are identical).
-		ord = &replayOrders{
-			trace:    trace,
-			startOrd: make([]int32, n), finOrd: make([]int32, n),
-			stR: make([]simtime.Time, n), enR: make([]simtime.Time, n),
-			cpuR: make([]int32, n),
-		}
-		ord.fill(&sc.cnt, starts)
-		plan.orders.Store(ord)
-	}
+	defer sc.release(n)
 	if ord == nil {
 		sc.grow(n)
 		ord = &replayOrders{
@@ -281,7 +268,7 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 		}
 		ord.fill(&sc.cnt, starts)
 	} else {
-		sc.growReserved(n)
+		sc.growReserved(n) // warm sweep cell: both endpoint sorts skipped
 	}
 	startOrd, finOrd := ord.startOrd, ord.finOrd
 	stR, enR, cpuR := ord.stR, ord.enR, ord.cpuR
@@ -318,12 +305,17 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	}
 
 	// Phase 3: order-free accounting back in parallel — per-job columns,
-	// the cost column and retained records are ID-indexed, and usage bins
-	// commute under integer addition (atomic adds into the pre-grown
-	// bins). The per-job carbon and baseline integrals live here rather
-	// than in the decide phase because they are accounting (they read the
-	// realized carbon trace and power model), so a replayed cell computes
-	// them under its own knobs.
+	// the cost column and retained records are ID-indexed, and each shard
+	// bins usage into its own metrics.UsageShard (O(1) per job: at most
+	// four writes to a difference column, whatever the job's length),
+	// which one prefix-sum merge folds into the pre-grown bins afterwards
+	// — integer sums, so the bins equal the sequential AddUsage stream
+	// exactly. Shard 0's columns are the accumulator's own bins, so a
+	// single-shard pass needs no binning scratch. The per-job carbon and
+	// baseline integrals live here rather than in the decide phase
+	// because they are accounting (they read the realized carbon trace
+	// and power model), so a replayed cell computes them under its own
+	// knobs.
 	var results []metrics.JobResult
 	var segs []metrics.Segment
 	if cfg.RetainJobs {
@@ -336,14 +328,8 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	}
 	odRate, spotRate := cfg.Pricing.HourlyRate(cloud.OnDemand), cfg.Pricing.HourlyRate(cloud.Spot)
 	shards := par.Shards(directWorkers(n), n)
-	// With a single shard the pass is sequential, so the cheaper
-	// non-atomic binning applies; sharded passes need the atomic variant
-	// (identical arithmetic — integer adds commute exactly).
-	addUsage := acc.AddUsageAtomic
-	if len(shards) <= 1 {
-		addUsage = acc.AddUsage
-	}
-	account := func(sh par.Range) error {
+	sc.usage = acc.ShardUsage(sc.usage, len(shards))
+	account := func(sh par.Range, usage *metrics.UsageShard) error {
 		for i := sh.Lo; i < sh.Hi; i++ {
 			if done != nil && (i-sh.Lo)%interruptStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -363,7 +349,7 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 			hours := iv.Len().Hours()
 			cost := (float64(od)*odRate + float64(0)*spotRate) * hours
 			acc.PutCost(i, cost)
-			addUsage(iv, res, od, 0)
+			usage.Add(iv, res, od)
 			if results != nil {
 				var h [3]float64
 				h[cloud.Reserved] = float64(res) * hours
@@ -390,15 +376,20 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 		}
 		return nil
 	}
+	var err error
 	if len(shards) == 1 {
 		// Replayed sweep cells are the hot caller (one cell per core
 		// already); skipping the worker pool keeps them allocation-light.
-		if err := account(shards[0]); err != nil {
-			return nil, err
-		}
-	} else if err := par.ForEach(len(shards), shards, func(_ int, sh par.Range) error {
-		return account(sh)
-	}); err != nil {
+		err = account(shards[0], &sc.usage[0])
+	} else {
+		err = par.ForEach(len(shards), shards, func(k int, sh par.Range) error {
+			return account(sh, &sc.usage[k])
+		})
+	}
+	// Merge even after a canceled pass: merging is also what drops the
+	// pooled shards' reference to acc's bins.
+	acc.MergeUsage(sc.usage)
+	if err != nil {
 		return nil, err
 	}
 

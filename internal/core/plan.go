@@ -42,9 +42,10 @@ type DecisionPlan struct {
 	classes []uint8
 	// orders memoizes the replay sweep's endpoint orderings, which are a
 	// pure function of (starts, trace): a sweep replaying this plan sorts
-	// its endpoints once, not once per cell. Built lazily on first replay,
-	// keyed by trace identity, and excluded from the encoded artifact
-	// (a decoded plan rebuilds it on first use).
+	// its endpoints and validates the trace once, not once per cell. Built
+	// lazily on first replay (planOrders), keyed by the caller's trace
+	// identity, and excluded from the encoded artifact (a decoded plan
+	// rebuilds it on first use).
 	orders atomic.Pointer[replayOrders]
 }
 
@@ -188,13 +189,34 @@ func RunWithPlan(ctx context.Context, cfg Config, jobs *workload.Trace, plan *De
 			res, err = nil, fmt.Errorf("core: run failed: %v", r)
 		}
 	}()
+	ord, err := planOrders(plan, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return replayDirect(ctx, cfg, ord.trace, plan.starts, ord)
+}
+
+// planOrders returns plan's endpoint orderings for the caller's trace
+// jobs. The first replay against a trace normalizes it, checks the plan's
+// shape against it (length, no start before arrival), sorts the endpoints
+// into plan-owned columns and publishes the result keyed by jobs; every
+// later replay against the same *workload.Trace reuses it and skips both
+// O(n) checks, which passed when it was built. Racing first replays may
+// each build; the last store wins and all values are identical.
+func planOrders(plan *DecisionPlan, jobs *workload.Trace) (*replayOrders, error) {
+	if plan != nil {
+		if m := plan.orders.Load(); m != nil && m.key == jobs {
+			return m, nil
+		}
+	}
 	trace := normalizedTrace(jobs)
-	if plan == nil || len(plan.starts) != len(trace.Jobs) {
+	n := len(trace.Jobs)
+	if plan == nil || len(plan.starts) != n {
 		got := 0
 		if plan != nil {
 			got = len(plan.starts)
 		}
-		return nil, fmt.Errorf("core: plan covers %d jobs, trace has %d", got, len(trace.Jobs))
+		return nil, fmt.Errorf("core: plan covers %d jobs, trace has %d", got, n)
 	}
 	for i := range plan.starts {
 		if plan.starts[i] < trace.Jobs[i].Arrival {
@@ -202,5 +224,15 @@ func RunWithPlan(ctx context.Context, cfg Config, jobs *workload.Trace, plan *De
 				i, plan.starts[i], trace.Jobs[i].Arrival)
 		}
 	}
-	return replayDirect(ctx, cfg, trace, plan.starts, plan)
+	ord := &replayOrders{
+		key: jobs, trace: trace,
+		startOrd: make([]int32, n), finOrd: make([]int32, n),
+		stR: make([]simtime.Time, n), enR: make([]simtime.Time, n),
+		cpuR: make([]int32, n),
+	}
+	sc := directScratchPool.Get().(*directScratch)
+	ord.fill(&sc.cnt, plan.starts)
+	sc.release(n)
+	plan.orders.Store(ord)
+	return ord, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/cloud"
@@ -280,10 +281,58 @@ func TestReplayAllocs(t *testing.T) {
 	})
 	// Without the sync.Pool the sweep adds 7+ slices per replay (two order
 	// columns, three rank columns, the allocation column, counting
-	// buckets); pooled replay measures 20 allocs/run, unpooled ~28, so the
+	// buckets); pooled replay measures 18 allocs/run, unpooled ~28, so the
 	// ceiling sits between them.
 	const ceiling = 24
 	if allocs > ceiling {
 		t.Errorf("replay allocates %.0f objects/run, want <= %d (scratch pooling regressed?)", allocs, ceiling)
+	}
+}
+
+// TestPlanReplayReusesOrdersForUnnormalizedTrace pins the orders memo's
+// key: it is the caller's trace, not the normalized copy RunWithPlan
+// makes of a non-normalized one, so a second replay over the same
+// *workload.Trace reuses the first replay's orders (skipping the copy, the
+// plan validation and both endpoint sorts) and returns the same bytes.
+func TestPlanReplayReusesOrdersForUnnormalizedTrace(t *testing.T) {
+	tr, jobs := randomInstance(58)
+	raw := &workload.Trace{Name: jobs.Name, Jobs: slices.Clone(jobs.Jobs)}
+	slices.Reverse(raw.Jobs) // arrivals out of order: normalizedTrace copies
+	if normalizedTrace(raw) == raw {
+		t.Fatal("reversed trace unexpectedly already normalized")
+	}
+	cfg := baseConfig(tr, policy.CarbonTime{})
+	cfg.RetainJobs = false
+	cfg.Reserved = 30
+	plan := mustDecidePlan(t, cfg, raw)
+	ctx := context.Background()
+
+	first, err := RunWithPlan(ctx, cfg, raw, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord := plan.orders.Load()
+	if ord == nil || ord.key != raw || ord.trace == raw {
+		t.Fatal("first replay did not memoize orders keyed by the caller's trace")
+	}
+	second, err := RunWithPlan(ctx, cfg, raw, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.orders.Load() != ord {
+		t.Error("second replay over the same trace rebuilt the orders")
+	}
+	assertIdenticalResults(t, second, first)
+	full, err := Run(cfg, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalResults(t, second, full)
+
+	// The memo vouches only for the trace it was built from: any other
+	// trace is checked afresh.
+	short := &workload.Trace{Name: raw.Name, Jobs: raw.Jobs[1:]}
+	if _, err := RunWithPlan(ctx, cfg, short, plan); err == nil {
+		t.Error("memoized plan replayed over a shorter trace without its length check")
 	}
 }

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"sync/atomic"
-
 	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -90,15 +88,16 @@ func (a *Accumulator) AddJob(rec *JobResult) {
 // The sharded-fill API below decomposes AddJob for producers that compute
 // per-job metrics out of finish order (core's direct-execution run path):
 // PutJob writes the order-free ID-indexed columns, AddCPUHours folds the
-// order-sensitive float totals, and AddUsageAtomic bins usage from
-// concurrent shards. Splitting the fold out is what makes the
+// order-sensitive float totals, and a UsageShard fill (ShardUsage, Add,
+// MergeUsage) bins usage from concurrent shards with no shared writes. Splitting the fold out is what makes the
 // decomposition exact: every float64 the accumulator ever sums across jobs
 // is either stored per job (columns — summation order fixed at query time)
-// or folded here by the caller in the engine's finish order, so a sharded
-// fill is bit-identical to a sequential AddJob stream. The remaining
-// totals (evictions, wasted work) are only ever incremented by zero in the
-// configurations that shard (no spot, no evictions), so skipping them
-// changes nothing.
+// or folded here by the caller in the engine's finish order, and the usage
+// bins are integers, whose sums do not depend on order or grouping, so a
+// sharded fill is bit-identical to a sequential AddJob+AddUsage stream.
+// The remaining totals (evictions, wasted work) and the spot bins are only
+// ever incremented by zero in the configurations that shard (no spot, no
+// evictions), so skipping them changes nothing.
 
 // PutJob writes job i's order-free columns. Concurrent callers are safe
 // iff they cover disjoint job IDs; each ID must be written exactly once.
@@ -126,8 +125,8 @@ func (a *Accumulator) AddCPUHours(h [3]float64) {
 // GrowUsage extends the usage bins to cover an execution ending at end,
 // replicating AddUsage's on-demand growth rule so a pre-grown accumulator
 // is indistinguishable from one grown incrementally to the same maximum.
-// Callers using AddUsageAtomic must pre-grow with the latest end they will
-// bin — the atomic path cannot resize concurrently-shared slices.
+// A sharded fill must pre-grow with the latest end it will bin before
+// calling ShardUsage: shards cannot resize bins they share.
 func (a *Accumulator) GrowUsage(end simtime.Time) {
 	e := int64(end)
 	if e <= 0 {
@@ -141,47 +140,127 @@ func (a *Accumulator) GrowUsage(end simtime.Time) {
 	}
 }
 
-// AddUsageAtomic is AddUsage for concurrent shards: identical binning
-// arithmetic, but bin updates go through atomic adds. Integer addition
-// commutes exactly, so any interleaving yields the same bins as the
-// sequential calls. The bins must already cover the interval (GrowUsage);
-// an out-of-range interval panics rather than silently dropping usage.
-func (a *Accumulator) AddUsageAtomic(iv simtime.Interval, reserved, onDemand, spot int) {
-	s, e := int64(iv.Start), int64(iv.End)
-	if s < 0 {
-		s = 0
+// shardOptions are the purchase options a UsageShard bins, by column.
+var shardOptions = [2]cloud.Option{cloud.Reserved, cloud.OnDemand}
+
+// A UsageShard bins the reserved and on-demand usage of one shard of a
+// concurrent fill in O(1) per interval, whatever its length. It keeps one
+// difference column per option, whose prefix sum is the shard's bins: a
+// job's partial first and last hours and the run of whole hours between
+// them are each a +/− pair, and the pairs meeting at the same index fold
+// into one write, so an interval costs at most four writes per option.
+// Shards write only their own columns, so a fill needs no atomics.
+// Columns are indexed like shardOptions.
+type UsageShard struct {
+	diff [2][]int64
+}
+
+// ShardUsage starts a concurrent fill of a's bins with k shards, reusing
+// the columns of buf (nil is fine), and returns shards[:k]. a's bins must
+// already cover every interval the fill will add (GrowUsage). Shard 0's
+// difference columns are a's own reserved and on-demand bins, rewritten
+// in difference form, so a one-shard fill needs no scratch at all; the
+// other shards own zeroed columns. Each shard must be used by one
+// goroutine at a time, and a's bins must not be read until MergeUsage
+// ends the fill.
+func (a *Accumulator) ShardUsage(buf []UsageShard, k int) []UsageShard {
+	if k == 0 {
+		return buf[:0]
 	}
-	if s >= e {
+	if cap(buf) < k {
+		buf = append(buf[:cap(buf)], make([]UsageShard, k-cap(buf))...)
+	}
+	shards := buf[:k]
+	n := len(a.usage[0])
+	for c, o := range shardOptions {
+		bins := a.usage[o]
+		for h := n - 1; h > 0; h-- {
+			bins[h] -= bins[h-1]
+		}
+		for i := range shards {
+			sh := &shards[i]
+			switch {
+			case i == 0:
+				sh.diff[c] = bins
+			case cap(sh.diff[c]) < n:
+				sh.diff[c] = make([]int64, n)
+			default:
+				sh.diff[c] = sh.diff[c][:n]
+				clear(sh.diff[c])
+			}
+		}
+	}
+	return shards
+}
+
+// Add bins one execution interval's reserved and on-demand allocation,
+// with AddUsage's arithmetic. An interval past the bins ShardUsage sized
+// panics rather than silently dropping usage.
+func (s *UsageShard) Add(iv simtime.Interval, reserved, onDemand int) {
+	st, e := int64(iv.Start), int64(iv.End)
+	if st < 0 {
+		st = 0
+	}
+	if st >= e {
 		return
 	}
-	lastHour := int((e - 1) / 60)
-	if lastHour >= len(a.usage[0]) {
-		panic("metrics: AddUsageAtomic past GrowUsage horizon")
+	first, last := int(st/60), int((e-1)/60)
+	n := len(s.diff[0])
+	if last >= n {
+		panic("metrics: UsageShard.Add past GrowUsage horizon")
 	}
-	var byOption [3]int
-	byOption[cloud.Reserved] = reserved
-	byOption[cloud.OnDemand] = onDemand
-	byOption[cloud.Spot] = spot
-	for o, units := range byOption {
+	for c, units := range [2]int{reserved, onDemand} {
 		if units == 0 {
 			continue
 		}
-		for h := int(s / 60); h <= lastHour; h++ {
-			lo, hi := int64(h)*60, int64(h+1)*60
-			if lo < s {
-				lo = s
-			}
-			if hi > e {
-				hi = e
-			}
-			atomic.AddInt64(&a.usage[o][h], int64(units)*(hi-lo))
+		u := int64(units)
+		d := s.diff[c]
+		// tail is the usage in hour last (the whole interval when it
+		// lies in one hour). The −tail closing it would land one past
+		// the bins when last is the final hour, where no prefix sum
+		// reaches, so it is dropped there.
+		tail := u * (e - st)
+		if first < last {
+			head := u * (int64(first+1)*60 - st)
+			tail = u * (e - int64(last)*60)
+			d[first] += head
+			d[first+1] += u*60 - head
+			d[last] += tail - u*60
+		} else {
+			d[first] += tail
+		}
+		if last+1 < n {
+			d[last+1] -= tail
 		}
 	}
+}
+
+// MergeUsage ends a ShardUsage fill: it adds the other shards' difference
+// columns into shard 0's, which are a's bins, and prefix-sums them back
+// into bins, once per option. Afterwards the shards no longer reference a.
+func (a *Accumulator) MergeUsage(shards []UsageShard) {
+	if len(shards) == 0 {
+		return
+	}
+	for c, o := range shardOptions {
+		bins := a.usage[o] // shard 0's column
+		for k := 1; k < len(shards); k++ {
+			for h, v := range shards[k].diff[c] {
+				bins[h] += v
+			}
+		}
+		for h := 1; h < len(bins); h++ {
+			bins[h] += bins[h-1]
+		}
+	}
+	shards[0].diff = [2][]int64{}
 }
 
 // AddUsage bins one execution interval's allocation per purchase option —
 // the streaming equivalent of appending a Segment. Units are CPU·minutes,
 // so the hourly mean is an exact integer division by 60 at query time.
+// It is the event engine's sequential binning, and the reference a
+// UsageShard fill must equal bin for bin.
 func (a *Accumulator) AddUsage(iv simtime.Interval, reserved, onDemand, spot int) {
 	s, e := int64(iv.Start), int64(iv.End)
 	if s < 0 {
